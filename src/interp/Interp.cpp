@@ -135,7 +135,10 @@ static bool isLoopMarker(Task::K Kind) {
 
 struct Frame {
   const FuncDecl *F = nullptr;
-  std::map<const VarDecl *, Addr> Locals;
+  /// Locals in allocation order. alloc() bumps, so this is also cell
+  /// address order: frame death releases them in an order that does not
+  /// depend on where the AST nodes happen to live in the host heap.
+  std::vector<std::pair<const VarDecl *, Addr>> Locals;
   std::vector<Task> Control;
   /// Where the return value goes in the *caller* frame.
   const Expr *DestLV = nullptr;
@@ -694,11 +697,11 @@ Addr Machine::addrOfVar(ThreadCtx &T, Frame &F, const VarDecl *Var) {
 
 Addr Machine::localAddr(ThreadCtx &T, Frame &F, const VarDecl *Var) {
   (void)T;
-  auto It = F.Locals.find(Var);
-  if (It != F.Locals.end())
-    return It->second;
+  for (const auto &[Local, A] : F.Locals)
+    if (Local == Var)
+      return A;
   Addr A = alloc(sizeInCells(Var->DeclType));
-  F.Locals[Var] = A;
+  F.Locals.emplace_back(Var, A);
   return A;
 }
 

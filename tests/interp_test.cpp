@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <new>
+
 using namespace sharc;
 using namespace sharc::minic;
 using namespace sharc::interp;
@@ -597,4 +600,57 @@ TEST(InterpFailStopTest, FailedThreadBlocksAtViolation) {
   InterpResult R = C->Interpreter->run(Options);
   EXPECT_GE(R.count(Violation::Kind::LockViolation), 1u);
   EXPECT_EQ(R.Output.find("9"), std::string::npos);
+}
+
+TEST(InterpDeterminismTest, TraceDoesNotDependOnHeapLayout) {
+  // A frame's pointer locals die with it, and each clear is a traced
+  // PtrStore. The trace must be a function of the program and the seed
+  // alone, not of where the host allocator placed the AST: compile the
+  // same source under several heap layouts and compare the traces.
+  const char *Source = "void f(void) {\n"
+                       "  int *a;\n"
+                       "  int *b;\n"
+                       "  int *c;\n"
+                       "  int *d;\n"
+                       "  a = new int;\n"
+                       "  d = a;\n"
+                       "  b = a;\n"
+                       "  c = a;\n"
+                       "}\n"
+                       "void main(void) { f(); }\n";
+  // Each layout frees N blocks the size of a declaration just before
+  // parsing, in address order or reversed, so the parser's declarations
+  // reuse them in a different order.
+  struct Layout {
+    size_t Blocks;
+    bool Reverse;
+  };
+  const Layout Layouts[] = {{0, false}, {1, false}, {4, false},
+                            {4, true},  {16, false}, {16, true}};
+  std::vector<std::unique_ptr<Compiled>> Keep;
+  std::vector<std::vector<TraceEvent>> Traces;
+  for (const Layout &L : Layouts) {
+    std::vector<void *> Holes;
+    for (size_t I = 0; I != L.Blocks; ++I)
+      Holes.push_back(::operator new(sizeof(VarDecl)));
+    std::sort(Holes.begin(), Holes.end());
+    if (L.Reverse)
+      std::reverse(Holes.begin(), Holes.end());
+    for (void *P : Holes)
+      ::operator delete(P);
+    Keep.push_back(compile(Source));
+    ASSERT_TRUE(Keep.back()->Ok) << Keep.back()->Diags->render();
+    InterpOptions Options;
+    Options.Seed = 5;
+    Traces.emplace_back();
+    Options.Trace = &Traces.back();
+    Keep.back()->Interpreter->run(Options);
+  }
+  size_t Clears = 0;
+  for (const TraceEvent &Ev : Traces.front())
+    Clears += Ev.K == TraceEvent::Kind::PtrStore && Ev.Value == 0;
+  EXPECT_GE(Clears, 4u) << "frame death should clear a, b, c and d";
+  for (size_t I = 1; I != Traces.size(); ++I)
+    EXPECT_TRUE(Traces[I] == Traces.front())
+        << "layout " << I << " produced a different trace";
 }
