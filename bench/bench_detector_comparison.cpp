@@ -37,10 +37,11 @@ namespace {
 /// The kernel: worker threads repeatedly scan shared read-only text (the
 /// pfscan inner loop over an OS-cached corpus) and tally matches under a
 /// lock. DetectorT provides onRead/onWrite/onLockAcquire/onLockRelease
-/// hooks at HookBytes granularity. Multiple passes model steady-state
-/// re-access: SharC's shadow fast path absorbs repeats with one relaxed
-/// load + no-op CAS, while the lockset/vector-clock baselines pay their
-/// full per-access cost every time.
+/// hooks at HookBytes granularity; each hook passes the worker's index
+/// as its tid. Multiple passes model steady-state re-access: SharC's
+/// shadow fast path absorbs repeats with one relaxed load + no-op CAS,
+/// while the lockset/vector-clock baselines pay their full per-access
+/// cost every time.
 template <typename DetectorT>
 uint64_t scanKernel(DetectorT &Detector, const std::vector<CorpusFile> &Corpus,
                     unsigned NumThreads, unsigned NumPasses,
@@ -54,18 +55,18 @@ uint64_t scanKernel(DetectorT &Detector, const std::vector<CorpusFile> &Corpus,
         for (size_t Index = T; Index < Corpus.size(); Index += NumThreads) {
           const CorpusFile &File = Corpus[Index];
           for (size_t Off = 0; Off < File.Contents.size(); Off += HookBytes)
-            Detector.onRead(File.Contents.data() + Off,
+            Detector.onRead(T, File.Contents.data() + Off,
                             std::min(HookBytes,
                                      File.Contents.size() - Off));
           uint64_t Found = countOccurrences(File.Contents.data(),
                                             File.Contents.size(), "etaoin");
           {
-            Detector.onLockAcquire(&Mut);
+            Detector.onLockAcquire(T, &Mut);
             std::lock_guard<std::mutex> Lock(Mut);
-            Detector.onRead(&Total, sizeof(Total));
-            Detector.onWrite(&Total, sizeof(Total));
+            Detector.onRead(T, &Total, sizeof(Total));
+            Detector.onWrite(T, &Total, sizeof(Total));
             Total += Found;
-            Detector.onLockRelease(&Mut);
+            Detector.onLockRelease(T, &Mut);
           }
         }
       }
@@ -77,24 +78,25 @@ uint64_t scanKernel(DetectorT &Detector, const std::vector<CorpusFile> &Corpus,
 
 /// No-op detector (the uninstrumented baseline).
 struct NullDetector {
-  void onLockAcquire(const void *) {}
-  void onLockRelease(const void *) {}
-  void onRead(const void *, size_t) {}
-  void onWrite(void *, size_t) {}
+  void onLockAcquire(unsigned, const void *) {}
+  void onLockRelease(unsigned, const void *) {}
+  void onRead(unsigned, const void *, size_t) {}
+  void onWrite(unsigned, void *, size_t) {}
 };
 
-/// SharC's checker as a detector: dynamic-mode checks per access.
+/// SharC's checker as a detector: dynamic-mode checks per access. The
+/// runtime finds the calling thread itself, so the tid goes unused.
 struct SharcDetector {
-  void onLockAcquire(const void *Lock) {
+  void onLockAcquire(unsigned, const void *Lock) {
     rt::Runtime::get().onLockAcquire(Lock);
   }
-  void onLockRelease(const void *Lock) {
+  void onLockRelease(unsigned, const void *Lock) {
     rt::Runtime::get().onLockRelease(Lock);
   }
-  void onRead(const void *Addr, size_t Size) {
+  void onRead(unsigned, const void *Addr, size_t Size) {
     rt::Runtime::get().checkRead(Addr, Size, nullptr);
   }
-  void onWrite(void *Addr, size_t Size) {
+  void onWrite(unsigned, void *Addr, size_t Size) {
     rt::Runtime::get().checkWrite(Addr, Size, nullptr);
   }
 };

@@ -29,7 +29,6 @@
 #include "fuzz/Oracle.h"
 #include "fuzz/ProgramGen.h"
 #include "fuzz/Rng.h"
-#include "racedet/TraceReplay.h"
 #include "rt/Guard.h"
 
 #include <algorithm>
@@ -96,7 +95,6 @@ bool parseU64(const char *S, uint64_t &Out) {
 /// State shared by generate and replay modes.
 struct Campaign {
   FuzzOptions Opts;
-  racedet::ReplayPool Pool;
   uint64_t Failures = 0;
   uint64_t Programs = 0;
   uint64_t SchedulesRun = 0;
@@ -146,7 +144,7 @@ struct Campaign {
   /// minimizer's predicate.
   bool failsSameWay(const std::string &Candidate, FailureKind Kind,
                     uint64_t OracleSeed) {
-    OracleOutcome Out = runOracles(Candidate, oracleConfig(OracleSeed), Pool);
+    OracleOutcome Out = runOracles(Candidate, oracleConfig(OracleSeed));
     return Out.Failure == Kind;
   }
 
@@ -215,7 +213,7 @@ int runGenerate(Campaign &C) {
     uint64_t GenSeed = splitMix64(State);
     uint64_t OracleSeed = splitMix64(State);
     std::string Source = generateProgram(GenSeed, C.Opts.Size);
-    OracleOutcome Out = runOracles(Source, C.oracleConfig(OracleSeed), C.Pool);
+    OracleOutcome Out = runOracles(Source, C.oracleConfig(OracleSeed));
     C.absorb(Out);
     if (Out.failed()) {
       std::ostringstream Origin;
@@ -244,8 +242,7 @@ int replayOne(Campaign &C, const std::filesystem::path &Path) {
   }
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  OracleOutcome Out =
-      runOracles(Buf.str(), C.oracleConfig(C.Opts.Seed), C.Pool);
+  OracleOutcome Out = runOracles(Buf.str(), C.oracleConfig(C.Opts.Seed));
   C.absorb(Out);
   if (Out.failed())
     C.reportFailure(Buf.str(), Out, /*GenSeed=*/0, C.Opts.Seed,

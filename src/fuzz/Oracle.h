@@ -11,10 +11,12 @@
 ///      a fixpoint (byte-identical second print).
 ///   2. Determinism: two interpreter runs with the same scheduler seed
 ///      must produce identical results, output, stats, and traces.
-///   3. Detector agreement: the production Eraser and vector-clock
-///      detectors, driven through the multithreaded ReplayPool, must
-///      report exactly the racy cells that independent single-threaded
-///      reference implementations report for the same trace.
+///   3. Detector agreement: one loop over the trace calls the
+///      production Eraser and vector-clock detectors with each event's
+///      trace tid; they must report exactly the racy cells that
+///      independent reference implementations report for the same
+///      trace. A trace whose tids do not fit the detectors' MaxTids
+///      slots is a recorded trace skip.
 ///   4. Reference-count agreement: replaying the trace's pointer-slot
 ///      stores through the Atomic and Levanoni-Petrank engines must
 ///      reproduce the interpreter's oneref count at every sharing cast,
@@ -56,7 +58,6 @@
 #ifndef SHARC_FUZZ_ORACLE_H
 #define SHARC_FUZZ_ORACLE_H
 
-#include "racedet/TraceReplay.h"
 #include "rt/Guard.h"
 
 #include <cstdint>
@@ -107,7 +108,9 @@ struct OracleOutcome {
   bool AnalysisRejected = false; ///< Sharing inference refused the program.
   bool CheckerRejected = false;  ///< Static checker refused the program.
   unsigned SchedulesRun = 0;
-  unsigned TraceSkips = 0; ///< Schedules whose trace exceeded the cutoff.
+  /// Schedules oracles 3 and 4 skipped: the trace exceeded the cutoff,
+  /// or (oracle 3 only) its tids overflow the detectors' slots.
+  unsigned TraceSkips = 0;
   unsigned RcSkips = 0;    ///< Schedules skipped by the RC oracle.
   unsigned PolicyChecks = 0; ///< Schedules the policy oracle covered.
   unsigned ExploreChecks = 0; ///< Programs oracle 8 fully enumerated.
@@ -127,10 +130,8 @@ struct OracleOutcome {
   bool failed() const { return Failure != FailureKind::None; }
 };
 
-/// Runs every oracle over \p Source. \p Pool is reused across calls so
-/// detector thread ids stay bounded over a whole fuzzing campaign.
-OracleOutcome runOracles(const std::string &Source, const OracleConfig &Cfg,
-                         racedet::ReplayPool &Pool);
+/// Runs every oracle over \p Source.
+OracleOutcome runOracles(const std::string &Source, const OracleConfig &Cfg);
 
 /// Reverses the printer's poly-qualifier markers ("(q)" on struct tags,
 /// "*q" on pointer declarators) so printed programs can be reparsed.

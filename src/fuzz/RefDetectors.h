@@ -8,9 +8,9 @@
 /// Independent single-threaded reimplementations of the Eraser lockset
 /// algorithm and the vector-clock happens-before algorithm, replayed
 /// directly over an interpreter schedule trace. The differential oracle
-/// compares the production detectors (driven through the multithreaded
-/// ReplayPool) against these: any divergence on the racy-granule set is
-/// a bug in one side.
+/// compares the production detectors (driven by the same kind of loop
+/// over the same trace) against these: any divergence on the
+/// racy-granule set is a bug in one side.
 ///
 /// This is deliberately a *production-vs-reference* comparison, not a
 /// naive "Eraser must report everything vector clocks report": Eraser

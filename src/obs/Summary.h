@@ -66,11 +66,11 @@ TraceSummary summarize(const TraceData &Data, unsigned GranuleShift = 4,
 /// table, hottest granules, conflict timeline, final stats sample.
 std::string renderSummary(const TraceSummary &Sum, const TraceData &Data);
 
-/// Re-emits the trace as the fuzzer's replay schedule: one event per
+/// Re-emits the trace as the fuzzer's detector schedule: one event per
 /// line, `<kind> <tid> <addr>`, with the exact mapping the differential
-/// fuzzer applies before racedet::ReplayPool::replay (addresses scaled
-/// to 8-byte detector granules, spawn edges lowered to lock releases,
-/// refcount-only events dropped).
+/// fuzzer's detector loop applies when it calls the race detectors with
+/// each event's tid (addresses scaled to 8-byte detector granules, spawn
+/// edges lowered to lock releases, refcount-only events dropped).
 std::string renderSchedule(const TraceData &Data);
 
 /// Every record, one line each, for debugging.

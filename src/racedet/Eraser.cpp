@@ -7,21 +7,10 @@
 #include "racedet/Eraser.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace sharc;
 using namespace sharc::racedet;
-
-std::atomic<unsigned> DetectorThreads::NextTid{1};
-
-unsigned DetectorThreads::currentTid() {
-  thread_local unsigned Tid = NextTid.fetch_add(1);
-  return Tid;
-}
-
-namespace {
-/// Per-thread held-lock bitmask, per detector instance.
-thread_local std::unordered_map<const void *, uint64_t> HeldMasks;
-} // namespace
 
 unsigned EraserDetector::lockId(const void *Lock) {
   std::lock_guard<std::mutex> Guard(LockIdMutex);
@@ -30,22 +19,20 @@ unsigned EraserDetector::lockId(const void *Lock) {
   return It->second % 64;
 }
 
-uint64_t EraserDetector::heldLockSet() const {
-  auto It = HeldMasks.find(this);
-  return It == HeldMasks.end() ? 0 : It->second;
+void EraserDetector::onLockAcquire(unsigned Tid, const void *Lock) {
+  assert(Tid < MaxTids && "tid outside the detector's slots");
+  HeldBy[Tid].Mask |= uint64_t(1) << lockId(Lock);
 }
 
-void EraserDetector::onLockAcquire(const void *Lock) {
-  HeldMasks[this] |= uint64_t(1) << lockId(Lock);
+void EraserDetector::onLockRelease(unsigned Tid, const void *Lock) {
+  assert(Tid < MaxTids && "tid outside the detector's slots");
+  HeldBy[Tid].Mask &= ~(uint64_t(1) << lockId(Lock));
 }
 
-void EraserDetector::onLockRelease(const void *Lock) {
-  HeldMasks[this] &= ~(uint64_t(1) << lockId(Lock));
-}
-
-void EraserDetector::onAccess(const void *Addr, size_t Size, bool IsWrite) {
-  unsigned Tid = DetectorThreads::currentTid();
-  uint64_t Held = heldLockSet();
+void EraserDetector::onAccess(unsigned Tid, const void *Addr, size_t Size,
+                              bool IsWrite) {
+  assert(Tid < MaxTids && "tid outside the detector's slots");
+  uint64_t Held = HeldBy[Tid].Mask;
   uintptr_t Begin = reinterpret_cast<uintptr_t>(Addr) >> GranuleShift;
   uintptr_t End =
       (reinterpret_cast<uintptr_t>(Addr) + (Size ? Size : 1) - 1) >>
@@ -96,8 +83,6 @@ std::vector<uintptr_t> EraserDetector::racyGranules() {
   std::sort(Out.begin(), Out.end());
   return Out;
 }
-
-void EraserDetector::threadRetire() { HeldMasks.erase(this); }
 
 size_t EraserDetector::memoryFootprint() const {
   size_t Cells = 0;

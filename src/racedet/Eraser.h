@@ -15,6 +15,10 @@
 /// lockset C(v), refined by intersection with the accessing thread's held
 /// locks; an empty C(v) in SharedModified reports a race.
 ///
+/// Every call names its thread with an explicit tid below MaxTids. The
+/// caller owns the mapping: a tid must not be used by two threads at
+/// once, but a single thread may replay many tids in turn.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHARC_RACEDET_ERASER_H
@@ -30,15 +34,8 @@
 namespace sharc {
 namespace racedet {
 
-/// Thread registration shared by the baseline detectors.
-class DetectorThreads {
-public:
-  /// Small id of the calling thread, assigned on first use.
-  static unsigned currentTid();
-
-private:
-  static std::atomic<unsigned> NextTid;
-};
+/// Number of thread ids the baseline detectors track (tids 0..63).
+constexpr unsigned MaxTids = 64;
 
 /// The Eraser lockset algorithm over 8-byte granules.
 class EraserDetector {
@@ -47,13 +44,15 @@ class EraserDetector {
 
 public:
   /// Locks are identified by small ids (bits in a 64-bit set).
-  void onLockAcquire(const void *Lock);
-  void onLockRelease(const void *Lock);
+  void onLockAcquire(unsigned Tid, const void *Lock);
+  void onLockRelease(unsigned Tid, const void *Lock);
 
-  void onRead(const void *Addr, size_t Size) {
-    onAccess(Addr, Size, /*IsWrite=*/false);
+  void onRead(unsigned Tid, const void *Addr, size_t Size) {
+    onAccess(Tid, Addr, Size, /*IsWrite=*/false);
   }
-  void onWrite(void *Addr, size_t Size) { onAccess(Addr, Size, true); }
+  void onWrite(unsigned Tid, void *Addr, size_t Size) {
+    onAccess(Tid, Addr, Size, /*IsWrite=*/true);
+  }
 
   uint64_t getNumRaces() const {
     return Races.load(std::memory_order_relaxed);
@@ -66,12 +65,6 @@ public:
   /// (SharedModified with an empty candidate set). The differential fuzz
   /// oracle compares this against an independent replay.
   std::vector<uintptr_t> racyGranules();
-
-  /// Forgets the calling thread's held-lock state for this detector.
-  /// Pooled replay threads must call this before the instance dies;
-  /// per-thread state is keyed by detector address, so a later instance
-  /// at the same address would otherwise inherit stale locks.
-  void threadRetire();
 
   /// Approximate metadata footprint, for memory-overhead comparisons.
   size_t memoryFootprint() const;
@@ -91,10 +84,15 @@ private:
     std::unordered_map<uintptr_t, Cell> Cells;
   };
 
-  void onAccess(const void *Addr, size_t Size, bool IsWrite);
-  unsigned lockId(const void *Lock);
-  uint64_t heldLockSet() const;
+  /// A thread's held-lock mask, padded so threads do not share a line.
+  struct alignas(64) HeldLocks {
+    uint64_t Mask = 0;
+  };
 
+  void onAccess(unsigned Tid, const void *Addr, size_t Size, bool IsWrite);
+  unsigned lockId(const void *Lock);
+
+  HeldLocks HeldBy[MaxTids];
   Shard Shards[NumShards];
   std::mutex LockIdMutex;
   std::unordered_map<const void *, unsigned> LockIds;

@@ -6,49 +6,38 @@
 
 #include "racedet/VectorClock.h"
 
-#include "racedet/Eraser.h"
-
 #include <algorithm>
+#include <cassert>
 
 using namespace sharc;
 using namespace sharc::racedet;
 
-namespace {
-/// Per-thread clock, per detector instance.
-thread_local std::unordered_map<const HappensBeforeDetector *,
-                                HappensBeforeDetector::ThreadClock>
-    Clocks;
-} // namespace
-
-HappensBeforeDetector::ThreadClock &HappensBeforeDetector::myClock() {
-  ThreadClock &TC = Clocks[this];
-  if (TC.Tid == 0) {
-    TC.Tid = DetectorThreads::currentTid();
-    TC.Clock.set(TC.Tid, 1);
-  }
-  return TC;
+VectorClock &HappensBeforeDetector::clockOf(unsigned Tid) {
+  assert(Tid < MaxTids && "tid outside the detector's slots");
+  VectorClock &Clock = Clocks[Tid].Clock;
+  if (Clock.get(Tid) == 0)
+    Clock.set(Tid, 1);
+  return Clock;
 }
 
-void HappensBeforeDetector::threadBegin() { (void)myClock(); }
-
-void HappensBeforeDetector::onLockAcquire(const void *Lock) {
-  ThreadClock &TC = myClock();
+void HappensBeforeDetector::onLockAcquire(unsigned Tid, const void *Lock) {
+  VectorClock &Clock = clockOf(Tid);
   std::lock_guard<std::mutex> Guard(LockMutex);
-  TC.Clock.joinWith(LockClocks[Lock]);
+  Clock.joinWith(LockClocks[Lock]);
 }
 
-void HappensBeforeDetector::onLockRelease(const void *Lock) {
-  ThreadClock &TC = myClock();
+void HappensBeforeDetector::onLockRelease(unsigned Tid, const void *Lock) {
+  VectorClock &Clock = clockOf(Tid);
   std::lock_guard<std::mutex> Guard(LockMutex);
-  LockClocks[Lock] = TC.Clock;
+  LockClocks[Lock] = Clock;
   // Advance this thread's component: later events are not ordered before
   // the release.
-  TC.Clock.set(TC.Tid, TC.Clock.get(TC.Tid) + 1);
+  Clock.set(Tid, Clock.get(Tid) + 1);
 }
 
-void HappensBeforeDetector::onAccess(const void *Addr, size_t Size,
-                                     bool IsWrite) {
-  ThreadClock &TC = myClock();
+void HappensBeforeDetector::onAccess(unsigned Tid, const void *Addr,
+                                     size_t Size, bool IsWrite) {
+  const VectorClock &Clock = clockOf(Tid);
   uintptr_t Begin = reinterpret_cast<uintptr_t>(Addr) >> GranuleShift;
   uintptr_t End =
       (reinterpret_cast<uintptr_t>(Addr) + (Size ? Size : 1) - 1) >>
@@ -60,17 +49,17 @@ void HappensBeforeDetector::onAccess(const void *Addr, size_t Size,
     Cell &C = S.Cells[G];
     bool Race = false;
     // The last write must happen-before this access.
-    if (C.LastWrite.Clock != 0 && C.LastWrite.Tid != TC.Tid &&
-        C.LastWrite.Clock > TC.Clock.get(C.LastWrite.Tid))
+    if (C.LastWrite.Clock != 0 && C.LastWrite.Tid != Tid &&
+        C.LastWrite.Clock > Clock.get(C.LastWrite.Tid))
       Race = true;
     if (IsWrite) {
       // All previous reads must happen-before a write.
-      if (!C.Reads.leq(TC.Clock))
+      if (!C.Reads.leq(Clock))
         Race = true;
-      C.LastWrite = Epoch{TC.Tid, TC.Clock.get(TC.Tid)};
+      C.LastWrite = Epoch{Tid, Clock.get(Tid)};
       C.Reads = VectorClock();
     } else {
-      C.Reads.set(TC.Tid, TC.Clock.get(TC.Tid));
+      C.Reads.set(Tid, Clock.get(Tid));
     }
     if (Race && !C.Reported) {
       C.Reported = true;
@@ -90,8 +79,6 @@ std::vector<uintptr_t> HappensBeforeDetector::racyGranules() {
   std::sort(Out.begin(), Out.end());
   return Out;
 }
-
-void HappensBeforeDetector::threadRetire() { Clocks.erase(this); }
 
 size_t HappensBeforeDetector::memoryFootprint() const {
   size_t Bytes = 0;

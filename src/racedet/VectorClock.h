@@ -12,11 +12,17 @@
 /// keeps its last-write epoch plus a read vector; an access that is not
 /// ordered after the conflicting one is a race.
 ///
+/// Like EraserDetector, every call names its thread with an explicit tid
+/// below MaxTids; a thread's clock starts at its first call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHARC_RACEDET_VECTORCLOCK_H
 #define SHARC_RACEDET_VECTORCLOCK_H
 
+#include "racedet/Eraser.h" // MaxTids
+
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -63,17 +69,15 @@ class HappensBeforeDetector {
   static constexpr unsigned GranuleShift = 3;
 
 public:
-  void onLockAcquire(const void *Lock);
-  void onLockRelease(const void *Lock);
+  void onLockAcquire(unsigned Tid, const void *Lock);
+  void onLockRelease(unsigned Tid, const void *Lock);
 
-  void onRead(const void *Addr, size_t Size) {
-    onAccess(Addr, Size, /*IsWrite=*/false);
+  void onRead(unsigned Tid, const void *Addr, size_t Size) {
+    onAccess(Tid, Addr, Size, /*IsWrite=*/false);
   }
-  void onWrite(void *Addr, size_t Size) { onAccess(Addr, Size, true); }
-
-  /// Must be called by each participating thread before its first access
-  /// and after it finishes, so per-thread clocks are set up/retired.
-  void threadBegin();
+  void onWrite(unsigned Tid, void *Addr, size_t Size) {
+    onAccess(Tid, Addr, Size, /*IsWrite=*/true);
+  }
 
   uint64_t getNumRaces() const {
     return Races.load(std::memory_order_relaxed);
@@ -86,20 +90,7 @@ public:
   /// differential fuzz oracle.
   std::vector<uintptr_t> racyGranules();
 
-  /// Forgets the calling thread's clock for this detector. Pooled replay
-  /// threads must call this before the instance dies; clocks are keyed
-  /// by detector address, so a later instance at the same address would
-  /// otherwise inherit a stale clock.
-  void threadRetire();
-
   size_t memoryFootprint() const;
-
-  /// Per-thread clock state (public so the thread_local registry that
-  /// keys it by detector instance can name it).
-  struct ThreadClock {
-    VectorClock Clock;
-    unsigned Tid = 0;
-  };
 
 private:
   struct Epoch {
@@ -116,9 +107,16 @@ private:
     std::unordered_map<uintptr_t, Cell> Cells;
   };
 
-  void onAccess(const void *Addr, size_t Size, bool IsWrite);
-  ThreadClock &myClock();
+  /// A thread's clock, padded so threads do not share a line.
+  struct alignas(64) ThreadClock {
+    VectorClock Clock;
+  };
 
+  void onAccess(unsigned Tid, const void *Addr, size_t Size, bool IsWrite);
+  /// \returns \p Tid's clock, starting it at 1 on first use.
+  VectorClock &clockOf(unsigned Tid);
+
+  ThreadClock Clocks[MaxTids];
   Shard Shards[NumShards];
   std::mutex LockMutex;
   std::unordered_map<const void *, VectorClock> LockClocks;

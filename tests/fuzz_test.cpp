@@ -102,10 +102,9 @@ TEST(ProgramGenTest, ExercisesTheLanguage) {
 }
 
 TEST(OracleTest, CleanOnHandwrittenProgram) {
-  racedet::ReplayPool Pool;
   OracleConfig Cfg;
   Cfg.Schedules = 3;
-  OracleOutcome Out = runOracles(LockedCounter, Cfg, Pool);
+  OracleOutcome Out = runOracles(LockedCounter, Cfg);
   EXPECT_FALSE(Out.failed()) << failureKindName(Out.Failure) << ": "
                              << Out.Detail;
   EXPECT_FALSE(Out.AnalysisRejected);
@@ -115,11 +114,10 @@ TEST(OracleTest, CleanOnHandwrittenProgram) {
 }
 
 TEST(OracleTest, CleanOnGeneratedPrograms) {
-  racedet::ReplayPool Pool;
   OracleConfig Cfg;
   Cfg.Schedules = 2;
   for (uint64_t Seed : {7ull, 99ull, 1234ull}) {
-    OracleOutcome Out = runOracles(generateProgram(Seed), Cfg, Pool);
+    OracleOutcome Out = runOracles(generateProgram(Seed), Cfg);
     EXPECT_FALSE(Out.failed())
         << "seed " << Seed << " " << failureKindName(Out.Failure) << ": "
         << Out.Detail;
@@ -127,23 +125,44 @@ TEST(OracleTest, CleanOnGeneratedPrograms) {
 }
 
 TEST(OracleTest, DigestIsDeterministic) {
-  racedet::ReplayPool Pool;
   OracleConfig Cfg;
   Cfg.Schedules = 2;
-  OracleOutcome A = runOracles(LockedCounter, Cfg, Pool);
-  OracleOutcome B = runOracles(LockedCounter, Cfg, Pool);
+  OracleOutcome A = runOracles(LockedCounter, Cfg);
+  OracleOutcome B = runOracles(LockedCounter, Cfg);
   EXPECT_EQ(A.Digest, B.Digest);
   EXPECT_NE(A.Digest, 0u);
   // A different schedule sweep must (in practice) digest differently.
   Cfg.Seed = 55;
-  OracleOutcome C = runOracles(LockedCounter, Cfg, Pool);
+  OracleOutcome C = runOracles(LockedCounter, Cfg);
   EXPECT_NE(A.Digest, C.Digest);
 }
 
-TEST(OracleTest, ParseErrorIsAFailure) {
-  racedet::ReplayPool Pool;
+TEST(OracleTest, TidsPastTheDetectorSlotsAreATraceSkip) {
+  // Seventy workers, one at a time: trace tids are never reused, so the
+  // trace names more threads than the race detectors have slots.
+  const char *ManyThreads = "int racy done;\n"
+                            "void worker(void) { done = done + 1; }\n"
+                            "void main(void) {\n"
+                            "  int i;\n"
+                            "  i = 0;\n"
+                            "  while (i < 70) {\n"
+                            "    spawn worker();\n"
+                            "    i = i + 1;\n"
+                            "    while (done < i) { }\n"
+                            "  }\n"
+                            "}\n";
   OracleConfig Cfg;
-  OracleOutcome Out = runOracles("void main(void) { x = 1; }", Cfg, Pool);
+  Cfg.Schedules = 1;
+  OracleOutcome Out = runOracles(ManyThreads, Cfg);
+  EXPECT_FALSE(Out.failed()) << failureKindName(Out.Failure) << ": "
+                             << Out.Detail;
+  EXPECT_EQ(Out.SchedulesRun, 1u);
+  EXPECT_EQ(Out.TraceSkips, 1u);
+}
+
+TEST(OracleTest, ParseErrorIsAFailure) {
+  OracleConfig Cfg;
+  OracleOutcome Out = runOracles("void main(void) { x = 1; }", Cfg);
   EXPECT_TRUE(Out.failed());
   EXPECT_TRUE(Out.Failure == FailureKind::ParseError ||
               Out.Failure == FailureKind::TypeError)

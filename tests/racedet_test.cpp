@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 using namespace sharc::racedet;
 
@@ -27,25 +28,26 @@ TEST(EraserTest, SingleThreadNeverRaces) {
   EraserDetector D;
   int X = 0;
   for (int I = 0; I != 100; ++I) {
-    D.onWrite(&X, sizeof(X));
-    D.onRead(&X, sizeof(X));
+    D.onWrite(1, &X, sizeof(X));
+    D.onRead(1, &X, sizeof(X));
   }
   EXPECT_EQ(D.getNumRaces(), 0u);
   EXPECT_EQ(D.getNumChecks(), 200u);
 }
 
 TEST(EraserTest, ConsistentLockingIsClean) {
+  // Two real threads, so the sharded cell tables run concurrently.
   EraserDetector D;
   int Lock = 0;
   alignas(8) int X = 0;
-  auto Body = [&] {
+  auto Body = [&](unsigned Tid) {
     for (int I = 0; I != 50; ++I) {
-      D.onLockAcquire(&Lock);
-      D.onWrite(&X, sizeof(X));
-      D.onLockRelease(&Lock);
+      D.onLockAcquire(Tid, &Lock);
+      D.onWrite(Tid, &X, sizeof(X));
+      D.onLockRelease(Tid, &Lock);
     }
   };
-  std::thread A(Body), B(Body);
+  std::thread A(Body, 1), B(Body, 2);
   A.join();
   B.join();
   EXPECT_EQ(D.getNumRaces(), 0u);
@@ -54,10 +56,8 @@ TEST(EraserTest, ConsistentLockingIsClean) {
 TEST(EraserTest, UnsynchronizedSharedWriteRaces) {
   EraserDetector D;
   alignas(8) int X = 0;
-  std::thread A([&] { D.onWrite(&X, sizeof(X)); });
-  A.join();
-  std::thread B([&] { D.onWrite(&X, sizeof(X)); });
-  B.join();
+  D.onWrite(1, &X, sizeof(X));
+  D.onWrite(2, &X, sizeof(X));
   EXPECT_EQ(D.getNumRaces(), 1u);
 }
 
@@ -65,27 +65,17 @@ TEST(EraserTest, InconsistentLocksRace) {
   EraserDetector D;
   int LockA = 0, LockB = 0;
   alignas(8) int X = 0;
-  std::thread A([&] {
-    D.onLockAcquire(&LockA);
-    D.onWrite(&X, sizeof(X));
-    D.onLockRelease(&LockA);
-  });
-  A.join();
-  std::thread B([&] {
-    D.onLockAcquire(&LockB);
-    D.onWrite(&X, sizeof(X));
-    D.onLockRelease(&LockB);
-  });
-  B.join();
+  auto LockedWrite = [&](unsigned Tid, int *Lock) {
+    D.onLockAcquire(Tid, Lock);
+    D.onWrite(Tid, &X, sizeof(X));
+    D.onLockRelease(Tid, Lock);
+  };
+  LockedWrite(1, &LockA);
+  LockedWrite(2, &LockB);
   // The candidate set is initialized to B's locks on the state change; it
   // empties on the next differently-locked access (Eraser refinement).
   EXPECT_EQ(D.getNumRaces(), 0u);
-  std::thread C([&] {
-    D.onLockAcquire(&LockA);
-    D.onWrite(&X, sizeof(X));
-    D.onLockRelease(&LockA);
-  });
-  C.join();
+  LockedWrite(3, &LockA);
   EXPECT_EQ(D.getNumRaces(), 1u);
 }
 
@@ -93,12 +83,9 @@ TEST(EraserTest, ReadSharedAfterInitIsClean) {
   // The classic Eraser refinement: initialize unlocked, then many readers.
   EraserDetector D;
   alignas(8) int X = 0;
-  D.onWrite(&X, sizeof(X)); // init by owner
-  std::vector<std::thread> Readers;
-  for (int I = 0; I != 4; ++I)
-    Readers.emplace_back([&] { D.onRead(&X, sizeof(X)); });
-  for (auto &T : Readers)
-    T.join();
+  D.onWrite(1, &X, sizeof(X)); // init by owner
+  for (unsigned Tid = 2; Tid != 6; ++Tid)
+    D.onRead(Tid, &X, sizeof(X));
   EXPECT_EQ(D.getNumRaces(), 0u);
 }
 
@@ -108,18 +95,16 @@ TEST(EraserTest, FalsePositiveOnOwnershipHandoff) {
   // when the program is correct by design.
   EraserDetector D;
   alignas(8) int X = 0;
-  std::thread A([&] { D.onWrite(&X, sizeof(X)); });
-  A.join();
+  D.onWrite(1, &X, sizeof(X));
   // Handoff happened through some fence Eraser does not model.
-  std::thread B([&] { D.onWrite(&X, sizeof(X)); });
-  B.join();
+  D.onWrite(2, &X, sizeof(X));
   EXPECT_EQ(D.getNumRaces(), 1u); // false positive, by design
 }
 
 TEST(EraserTest, TracksMetadataFootprint) {
   EraserDetector D;
   std::vector<int> Data(1024, 0);
-  D.onWrite(Data.data(), Data.size() * sizeof(int));
+  D.onWrite(1, Data.data(), Data.size() * sizeof(int));
   EXPECT_GT(D.memoryFootprint(), Data.size() * sizeof(int) / 2);
 }
 
@@ -142,75 +127,42 @@ TEST(HappensBeforeTest, LockOrderingPreventsReports) {
   HappensBeforeDetector D;
   int Lock = 0;
   alignas(8) int X = 0;
-  std::thread A([&] {
-    D.threadBegin();
-    D.onLockAcquire(&Lock);
-    D.onWrite(&X, sizeof(X));
-    D.onLockRelease(&Lock);
-  });
-  A.join();
-  std::thread B([&] {
-    D.threadBegin();
-    D.onLockAcquire(&Lock);
-    D.onWrite(&X, sizeof(X));
-    D.onLockRelease(&Lock);
-  });
-  B.join();
+  for (unsigned Tid : {1u, 2u}) {
+    D.onLockAcquire(Tid, &Lock);
+    D.onWrite(Tid, &X, sizeof(X));
+    D.onLockRelease(Tid, &Lock);
+  }
   EXPECT_EQ(D.getNumRaces(), 0u);
 }
 
 TEST(HappensBeforeTest, UnorderedWritesRace) {
   HappensBeforeDetector D;
   alignas(8) int X = 0;
-  std::thread A([&] {
-    D.threadBegin();
-    D.onWrite(&X, sizeof(X));
-  });
-  A.join();
-  std::thread B([&] {
-    D.threadBegin();
-    D.onWrite(&X, sizeof(X));
-  });
-  B.join();
+  D.onWrite(1, &X, sizeof(X));
+  D.onWrite(2, &X, sizeof(X));
   EXPECT_EQ(D.getNumRaces(), 1u);
 }
 
 TEST(HappensBeforeTest, ReadThenUnorderedWriteRaces) {
   HappensBeforeDetector D;
   alignas(8) int X = 0;
-  std::thread A([&] {
-    D.threadBegin();
-    D.onRead(&X, sizeof(X));
-  });
-  A.join();
-  std::thread B([&] {
-    D.threadBegin();
-    D.onWrite(&X, sizeof(X));
-  });
-  B.join();
+  D.onRead(1, &X, sizeof(X));
+  D.onWrite(2, &X, sizeof(X));
   EXPECT_EQ(D.getNumRaces(), 1u);
 }
 
 TEST(HappensBeforeTest, ReleaseAcquireChainOrdersAccesses) {
-  // Thread A writes X, releases L; thread B acquires L, writes X: no race
+  // Thread 1 writes X, releases L; thread 2 acquires L, writes X: no race
   // (this is the signaling pattern the lockset algorithm cannot express
   // but happens-before can).
   HappensBeforeDetector D;
   int Lock = 0;
   alignas(8) int X = 0;
-  std::thread A([&] {
-    D.threadBegin();
-    D.onWrite(&X, sizeof(X));
-    D.onLockAcquire(&Lock);
-    D.onLockRelease(&Lock);
-  });
-  A.join();
-  std::thread B([&] {
-    D.threadBegin();
-    D.onLockAcquire(&Lock);
-    D.onWrite(&X, sizeof(X));
-    D.onLockRelease(&Lock);
-  });
-  B.join();
+  D.onWrite(1, &X, sizeof(X));
+  D.onLockAcquire(1, &Lock);
+  D.onLockRelease(1, &Lock);
+  D.onLockAcquire(2, &Lock);
+  D.onWrite(2, &X, sizeof(X));
+  D.onLockRelease(2, &Lock);
   EXPECT_EQ(D.getNumRaces(), 0u);
 }
