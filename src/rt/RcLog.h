@@ -73,9 +73,12 @@ public:
   size_t size() const { return Size.load(std::memory_order_acquire); }
 
   /// Invokes Fn(Entry) for every entry present at call time. Safe against
-  /// a concurrently appending owner.
+  /// a concurrently appending owner: Head is read only once the acquire
+  /// load of Size has seen an entry, since the first push() writes Head.
   template <typename FnT> void forEach(FnT Fn) const {
     size_t N = Size.load(std::memory_order_acquire);
+    if (N == 0)
+      return;
     const Chunk *C = Head;
     for (size_t I = 0; I < N; ++I) {
       if (I != 0 && I % ChunkSize == 0)
@@ -113,7 +116,11 @@ public:
     }
   }
 
+  /// Bytes of chunk storage behind the live entries; an empty log counts
+  /// as none (its Head may still be in the owner's first push()).
   size_t memoryFootprint() const {
+    if (empty())
+      return 0;
     size_t Bytes = 0;
     for (const Chunk *C = Head; C; C = C->Next.load(std::memory_order_acquire))
       Bytes += sizeof(Chunk);

@@ -97,10 +97,14 @@ TEST(RcLogTest, ClearKeepsFirstChunkAndResets) {
 
 TEST(RcLogTest, ConcurrentScanSeesPrefix) {
   // The collector may scan the live log while the owner appends; the scan
-  // must see a consistent prefix (no torn entries, no crashes).
+  // must see a consistent prefix (no torn entries, no crashes). Scanning
+  // starts before the first push, which allocates the first chunk.
   RcLog Log;
+  std::atomic<bool> Scanning{false};
   std::atomic<bool> Done{false};
   std::thread Owner([&] {
+    while (!Scanning.load())
+      std::this_thread::yield();
     for (uintptr_t I = 1; I <= 100000; ++I)
       Log.push(I, I);
     Done.store(true);
@@ -113,7 +117,10 @@ TEST(RcLogTest, ConcurrentScanSeesPrefix) {
       EXPECT_EQ(E.Slot, Prev + 1);
       Prev = E.Slot;
     });
+    (void)Log.memoryFootprint();
   };
+  ScanOnce();
+  Scanning.store(true);
   // Concurrent scans while the owner appends (on a one-core box the owner
   // may finish first; the post-join scan below always runs).
   while (!Done.load())
