@@ -40,16 +40,12 @@ constexpr size_t DeferredFreeThreshold = 1u << 14;
 Runtime::Runtime(const RuntimeConfig &Config)
     : Config(Config), Sink(Config.MaxReports), Registry(Config.maxThreads()),
       Generation(NextGeneration++) {
-  // Failure-semantics resolution (DESIGN.md §12): the legacy AbortOnError
-  // flag folds into the guard policy, then SHARC_POLICY overrides both so
-  // deployed binaries can switch policies without a rebuild. The global
-  // policy (config-less paths like RcTable exhaustion) follows suit, and
-  // SHARC_FAULT is parsed once so fault injection reaches every subsystem.
-  if (this->Config.AbortOnError)
-    this->Config.Guard.OnViolation = guard::Policy::Abort;
+  // Failure-semantics resolution (DESIGN.md §12): SHARC_POLICY overrides
+  // the configured guard policy so deployed binaries can switch policies
+  // without a rebuild. The global policy (config-less paths like RcTable
+  // exhaustion) follows suit, and SHARC_FAULT is parsed once so fault
+  // injection reaches every subsystem.
   guard::policyFromEnv(this->Config.Guard.OnViolation);
-  this->Config.AbortOnError =
-      this->Config.Guard.OnViolation == guard::Policy::Abort;
   guard::setGlobalPolicy(this->Config.Guard.OnViolation);
   if (const char *Env = std::getenv("SHARC_WATCHDOG_MS")) {
     char *End = nullptr;

@@ -422,7 +422,8 @@ TEST(ShadowPropertyTest, SharedGranuleWriterAlwaysCaught) {
 
 TEST(AbortModeTest, ConfigurableButOffByDefault) {
   RuntimeGuard Guard;
-  EXPECT_FALSE(Runtime::get().getConfig().AbortOnError);
+  EXPECT_EQ(Runtime::get().getConfig().Guard.OnViolation,
+            guard::Policy::Continue);
   // (Aborting behaviour itself is exercised manually; flipping it on in a
   // unit test would kill the test binary by design.)
 }
