@@ -50,9 +50,9 @@
 #include "rt/Guard.h"
 #include "rt/LiveStats.h"
 #include "rt/StatsServer.h"
+#include "support/NumericArg.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -156,17 +156,8 @@ void printUsage(std::FILE *To) {
       "4 exploration gave up (budget/bound) without finding a violation\n");
 }
 
-/// Strict unsigned parse for numeric flags: the whole argument must be
-/// digits (std::from_chars, base 10), no trailing garbage, no sign.
 bool parseU64Arg(const char *Flag, const char *Text, uint64_t &Out) {
-  const char *End = Text + std::strlen(Text);
-  auto [Ptr, Ec] = std::from_chars(Text, End, Out, 10);
-  if (Ec != std::errc() || Ptr != End || Text == End) {
-    std::fprintf(stderr, "sharcc: %s expects an unsigned integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  return true;
+  return parseFlagU64("sharcc", Flag, Text, Out);
 }
 
 /// Matches a value-taking flag in either spelling, "--flag VALUE" or

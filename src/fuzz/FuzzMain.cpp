@@ -30,6 +30,7 @@
 #include "fuzz/ProgramGen.h"
 #include "fuzz/Rng.h"
 #include "rt/Guard.h"
+#include "support/NumericArg.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -81,15 +82,6 @@ int usage(const char *Argv0) {
       << "  --minimize      shrink failures before reporting/saving\n"
       << "  --quiet         only print failures and the summary\n";
   return 2;
-}
-
-bool parseU64(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (!End || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 /// State shared by generate and replay modes.
@@ -301,21 +293,23 @@ int main(int Argc, char **Argv) {
     };
     if (Arg == "--count") {
       const char *V = needValue();
-      if (!V || !parseU64(V, Opts.Count))
+      if (!V || !parseFlagU64("sharc-fuzz", "--count", V, Opts.Count))
         return usage(Argv[0]);
     } else if (Arg == "--schedules") {
       uint64_t K;
       const char *V = needValue();
-      if (!V || !parseU64(V, K) || K == 0 || K > 1024)
+      if (!V || !parseFlagU64("sharc-fuzz", "--schedules", V, K) || K == 0 ||
+          K > 1024)
         return usage(Argv[0]);
       Opts.Schedules = static_cast<unsigned>(K);
     } else if (Arg == "--seed") {
       const char *V = needValue();
-      if (!V || !parseU64(V, Opts.Seed))
+      if (!V || !parseFlagU64("sharc-fuzz", "--seed", V, Opts.Seed))
         return usage(Argv[0]);
     } else if (Arg == "--max-steps") {
       const char *V = needValue();
-      if (!V || !parseU64(V, Opts.MaxSteps) || Opts.MaxSteps == 0)
+      if (!V || !parseFlagU64("sharc-fuzz", "--max-steps", V, Opts.MaxSteps) ||
+          Opts.MaxSteps == 0)
         return usage(Argv[0]);
     } else if (Arg == "--policy") {
       const char *V = needValue();

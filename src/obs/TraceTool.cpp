@@ -34,6 +34,7 @@
 #include "rt/LiveStats.h"
 #include "rt/StatsServer.h"
 #include "support/Diagnostics.h"
+#include "support/NumericArg.h"
 #include "support/SourceManager.h"
 
 #include <algorithm>
@@ -697,13 +698,8 @@ bool numArg(const char *Flag, int Argc, char **Argv, int &I, uint64_t &Out) {
     std::fprintf(stderr, "sharc-trace: %s needs a value\n", Flag);
     std::exit(2);
   }
-  char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  if (!End || *End != '\0') {
-    std::fprintf(stderr, "sharc-trace: %s expects a number, got '%s'\n",
-                 Flag, Value);
+  if (!parseFlagU64("sharc-trace", Flag, Value, Out))
     std::exit(2);
-  }
   return true;
 }
 

@@ -29,8 +29,8 @@
 #include "rt/Guard.h"
 #include "rt/Runtime.h"
 #include "rt/StatsServer.h"
+#include "support/NumericArg.h"
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -119,17 +119,8 @@ void printUsage(std::FILE *Out) {
       "I/O errors; 3 internal errors\n");
 }
 
-/// Strict unsigned parse: all digits, no sign, no trailing garbage.
 bool parseU64Arg(const char *Flag, const char *Text, uint64_t &Out) {
-  const char *End = Text + std::strlen(Text);
-  auto [Ptr, Ec] = std::from_chars(Text, End, Out, 10);
-  if (Ec != std::errc() || Ptr != End || Text == End) {
-    std::fprintf(stderr,
-                 "sharc-serve: %s expects an unsigned integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  return true;
+  return parseFlagU64("sharc-serve", Flag, Text, Out);
 }
 
 /// "--flag VALUE" or "--flag=VALUE" (same contract as sharcc).

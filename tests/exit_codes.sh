@@ -12,16 +12,18 @@
 # Also sweeps the sharc-trace CLI contract when a 4th argument names the
 # binary: every subcommand is listed in the top-level --help, every
 # subcommand answers its own --help with exit 0, and unknown subcommands
-# exit 2.
+# exit 2. A 5th argument names sharc-fuzz, whose malformed numeric flags
+# must exit 2.
 #
 # usage: exit_codes.sh <path-to-sharcc> <examples-dir> <fixtures-dir> \
-#                      [path-to-sharc-trace]
+#                      [path-to-sharc-trace] [path-to-sharc-fuzz]
 set -u
 
 SHARCC=$1
 EXAMPLES=$2
 FIXTURES=$3
 TRACE=${4:-}
+FUZZ=${5:-}
 STATUS=0
 
 expect() { # <expected-exit> <description> <args...>
@@ -128,6 +130,28 @@ if [ -n "$TRACE" ]; then
   else
     echo "ok: sharc-trace unknown subcommand --help (exit 2)"
   fi
+fi
+
+# --- sharc-fuzz numeric flags -------------------------------------------
+if [ -n "$FUZZ" ]; then
+  expect_fuzz() { # <description> <args...>
+    WHAT=$1
+    shift
+    "$FUZZ" "$@" > /dev/null 2>&1
+    GOT=$?
+    if [ "$GOT" -ne 2 ]; then
+      echo "FAIL: sharc-fuzz $WHAT: expected exit 2, got $GOT"
+      STATUS=1
+    else
+      echo "ok: sharc-fuzz $WHAT (exit 2)"
+    fi
+  }
+  expect_fuzz "negative --seed" --count 1 --seed -7
+  expect_fuzz "empty --count" --count ""
+  expect_fuzz "signed --count" --count +1
+  expect_fuzz "trailing garbage in --max-steps" --count 1 --max-steps 10x
+  expect_fuzz "--schedules past 64 bits" --count 1 \
+    --schedules 18446744073709551617
 fi
 
 exit $STATUS

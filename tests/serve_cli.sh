@@ -41,6 +41,9 @@ expect_exit 0 "--help" "$SERVE" --help
 expect_exit 2 "malformed --rate" "$SERVE" --rate abc
 expect_exit 2 "malformed --clients (trailing garbage)" "$SERVE" --clients 10x
 expect_exit 2 "negative --workers rejected" "$SERVE" --workers -3
+expect_exit 2 "negative --seed rejected" "$SERVE" --seed -7
+expect_exit 2 "empty --clients rejected" "$SERVE" --clients=
+expect_exit 2 "signed --rate rejected" "$SERVE" --rate +5
 expect_exit 2 "--workers above the thread budget" "$SERVE" --workers 13
 expect_exit 2 "--rate 0 rejected" "$SERVE" --rate 0
 expect_exit 2 "unknown flag" "$SERVE" --frobnicate

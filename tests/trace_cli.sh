@@ -75,6 +75,14 @@ expect_exit 2 "trailing garbage in --seed" \
   "$SHARCC" --run --seed 12x "$EXAMPLES/locked_counter.mc"
 expect_exit 2 "non-numeric --max-steps" \
   "$SHARCC" --run --max-steps many "$EXAMPLES/locked_counter.mc"
+expect_exit 2 "negative --seed" \
+  "$SHARCC" --run --seed -7 "$EXAMPLES/locked_counter.mc"
+expect_exit 2 "empty --seed" \
+  "$SHARCC" --run --seed= "$EXAMPLES/locked_counter.mc"
+expect_exit 2 "signed --max-steps" \
+  "$SHARCC" --run --max-steps +5 "$EXAMPLES/locked_counter.mc"
+expect_exit 2 "--max-steps past 64 bits" \
+  "$SHARCC" --run --max-steps 18446744073709551616 "$EXAMPLES/locked_counter.mc"
 expect_exit 2 "--seed without value" "$SHARCC" --run --seed
 expect_exit 2 "--trace-out without value" "$SHARCC" --run --trace-out
 expect_exit 2 "--trace-out with --check" \
@@ -118,6 +126,12 @@ expect_exit 0 "sharc-trace --help" "$TRACE" --help
 expect_exit 2 "sharc-trace no arguments" "$TRACE"
 expect_exit 2 "sharc-trace unknown command" "$TRACE" frobnicate "$WORK/t.strc"
 expect_exit 2 "summarize without file" "$TRACE" summarize
+expect_exit 2 "tail with a negative --idle-ms" \
+  "$TRACE" tail "$WORK/clean.strc" --idle-ms -7
+expect_exit 2 "tail with a signed --poll-ms" \
+  "$TRACE" tail "$WORK/clean.strc" --poll-ms=+5
+expect_exit 2 "tail with trailing garbage in --idle-ms" \
+  "$TRACE" tail "$WORK/clean.strc" --idle-ms 10x
 expect_exit 1 "summarize on missing file" "$TRACE" summarize "$WORK/nope.strc"
 printf 'not a trace' > "$WORK/bad.strc"
 expect_exit 1 "summarize on garbage file" "$TRACE" summarize "$WORK/bad.strc"
