@@ -15,8 +15,10 @@
 #define SHARC_BENCH_BENCHUTIL_H
 
 #include "obs/Json.h"
+#include "support/NumericArg.h"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,9 +31,21 @@
 namespace sharc {
 namespace bench {
 
-inline unsigned envUnsigned(const char *Name, unsigned Default) {
+/// Reads unsigned environment knob \p Name, or \p Default when it is
+/// unset. A value that is not a decimal integer in [Min, UINT_MAX] exits
+/// 2: a bad knob must fail loudly, not hang or corrupt a harness.
+inline unsigned envUnsigned(const char *Name, unsigned Default,
+                            unsigned Min = 1) {
   const char *Value = std::getenv(Name);
-  return Value ? static_cast<unsigned>(std::atoi(Value)) : Default;
+  if (!Value)
+    return Default;
+  uint64_t Parsed = 0;
+  if (!parseUnsigned(Value, Parsed) || Parsed < Min || Parsed > UINT_MAX) {
+    std::fprintf(stderr, "%s must be an integer >= %u, got '%s'\n", Name,
+                 Min, Value);
+    std::exit(2);
+  }
+  return static_cast<unsigned>(Parsed);
 }
 
 inline unsigned scale() { return envUnsigned("SHARC_BENCH_SCALE", 1); }

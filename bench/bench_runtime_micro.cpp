@@ -61,7 +61,7 @@ public:
     rt::RuntimeConfig Config;
     Config.Rc = Mode;
     Config.DiagMode = Diag;
-    unsigned Profile = bench::envUnsigned("SHARC_BENCH_PROFILE", 0);
+    unsigned Profile = bench::envUnsigned("SHARC_BENCH_PROFILE", 0, /*Min=*/0);
     if (Profile >= 1)
       Config.Profile = true;
     if (Profile >= 2)

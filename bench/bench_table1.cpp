@@ -154,8 +154,10 @@ int main(int Argc, char **Argv) {
   }
   {
     FftwConfig Config;
-    Config.NumTransforms = 32;
-    Config.TransformSize = 2048 * S;
+    // Grow through the transform count: TransformSize must stay a
+    // power of two.
+    Config.NumTransforms = 32 * S;
+    Config.TransformSize = 2048;
     Rows.push_back(measure("fftw", Config,
                            []<typename P>(const FftwConfig &C) {
                              return runFftw<P>(C);

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs one tiny row of every bench harness with --json and validates the
 # emitted reports against the sharc-bench-v1 schema via
-# `sharc-trace check-bench`. Keeps the perf-trajectory pipeline
-# (scripts/ci.sh -> BENCH_table1.json) from rotting between releases.
+# `sharc-trace check-bench`, and checks that bad env knobs exit 2. Keeps
+# the perf-trajectory pipeline (scripts/ci.sh -> BENCH_table1.json) from
+# rotting between releases.
 #
 # usage: bench_smoke.sh <bench-dir> <path-to-sharc-trace> [committed-json]
 set -u
@@ -46,6 +47,20 @@ run_one bench_thread_scaling
 run_one bench_rwlock_ablation
 run_one bench_runtime_micro \
   --benchmark_filter=BM_ChkReadHit --benchmark_min_time=0.01
+
+# A zero, negative or non-numeric knob exits 2 before any work (a zero
+# scale used to hang bench_table1).
+for KNOB in SHARC_BENCH_SCALE=0 SHARC_BENCH_SCALE=abc SHARC_BENCH_REPS=0 \
+            SHARC_BENCH_REPS=-1; do
+  env "$KNOB" "$BENCHDIR/bench_table1" > /dev/null 2>&1
+  GOT=$?
+  if [ "$GOT" -eq 2 ]; then
+    echo "ok: bench_table1 rejects $KNOB (exit 2)"
+  else
+    echo "FAIL: bench_table1 with $KNOB: expected exit 2, got $GOT"
+    STATUS=1
+  fi
+done
 
 # The tracked perf trajectory must stay schema-valid too.
 if [ -n "$COMMITTED" ] && [ -f "$COMMITTED" ]; then
