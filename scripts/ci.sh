@@ -30,6 +30,32 @@ echo "== fault-injection sweep =="
 # the policy exit codes, and the crashed-trace truncation sweep.
 (cd "$BUILD" && ctest -R guard --output-on-failure)
 
+echo "== sanitizers =="
+# ASan+UBSan and TSan builds of the tests that cover the race detectors,
+# the fuzz oracles, the parser and the runtime's concurrent internals.
+# Any sanitizer report fails the run. The rest of the suite stays out of
+# these lanes for now: serve_test's timing-sensitive cases fail under
+# the sanitizers' slowdown without any report.
+export ASAN_OPTIONS=detect_leaks=1
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+export TSAN_OPTIONS=halt_on_error=1
+san_lane() { # <build-dir> <cxx-flags> <test...>
+  DIR=$1
+  FLAGS=$2
+  shift 2
+  cmake -B "$DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$FLAGS" >/dev/null
+  cmake --build "$DIR" -j "$JOBS" --target "$@"
+  for T in "$@"; do
+    "$DIR/tests/$T" --gtest_brief=1
+  done
+}
+san_lane "$BUILD/asan" \
+  "-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+  racedet_test fuzz_test minic_parser_test
+san_lane "$BUILD/tsan" "-fsanitize=thread" \
+  racedet_test fuzz_test rt_internals_test
+
 echo "== fuzz smoke =="
 "$BUILD/src/fuzz/sharc-fuzz" --count 100 --schedules 4 --seed 1 --quiet
 # Once more under the continue policy: the base interpreter runs keep

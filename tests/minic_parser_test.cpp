@@ -36,9 +36,8 @@ std::vector<Token> lexAll(const std::string &Source) {
   KeepAlive.push_back(std::make_unique<SourceManager>());
   SourceManager &SM = *KeepAlive.back();
   FileId File = SM.addBuffer("test.mc", Source);
-  static DiagnosticEngine *Diags = nullptr;
-  Diags = new DiagnosticEngine(SM);
-  Lexer Lex(SM, File, *Diags);
+  DiagnosticEngine Diags(SM);
+  Lexer Lex(SM, File, Diags);
   std::vector<Token> Tokens;
   while (true) {
     Token T = Lex.next();
