@@ -22,7 +22,6 @@
 
 #include "racedet/Eraser.h" // MaxTids
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
