@@ -50,8 +50,9 @@ san_lane() { # <build-dir> <cxx-flags> <test...>
     "$DIR/tests/$T" --gtest_brief=1
   done
 }
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 san_lane "$BUILD/asan" \
-  "-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+  "$ASAN_FLAGS -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   racedet_test fuzz_test minic_parser_test
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test
