@@ -34,7 +34,6 @@ namespace {
 unsigned falseSharingReports(unsigned GranuleShift, unsigned NumObjects) {
   rt::RuntimeConfig Config;
   Config.GranuleShift = GranuleShift;
-  Config.DiagMode = false;
   rt::Runtime::init(Config);
   unsigned Reports;
   {
@@ -69,7 +68,6 @@ unsigned falseSharingReports(unsigned GranuleShift, unsigned NumObjects) {
 double checkThroughputMops(unsigned GranuleShift, unsigned Iterations) {
   rt::RuntimeConfig Config;
   Config.GranuleShift = GranuleShift;
-  Config.DiagMode = false;
   rt::Runtime::init(Config);
   double Sec;
   {

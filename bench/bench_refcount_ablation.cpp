@@ -99,7 +99,6 @@ double runMode(const char *Label, rt::RcMode Mode, bool EveryWriteCounted,
   double Sec = timeMinSeconds([&] {
     rt::RuntimeConfig Config;
     Config.Rc = Mode;
-    Config.DiagMode = false;
     rt::Runtime::init(Config);
     shuffleKernel(NumThreads, Stores, EveryWriteCounted);
     rt::Runtime::shutdown();

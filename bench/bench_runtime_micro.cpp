@@ -56,11 +56,9 @@ NullSink TheNullSink;
 /// at zero (the listener thread never touches the check paths).
 class RuntimeScope {
 public:
-  explicit RuntimeScope(rt::RcMode Mode = rt::RcMode::LevanoniPetrank,
-                        bool Diag = false) {
+  explicit RuntimeScope(rt::RcMode Mode = rt::RcMode::LevanoniPetrank) {
     rt::RuntimeConfig Config;
     Config.Rc = Mode;
-    Config.DiagMode = Diag;
     unsigned Profile = bench::envUnsigned("SHARC_BENCH_PROFILE", 0, /*Min=*/0);
     if (Profile >= 1)
       Config.Profile = true;

@@ -61,9 +61,7 @@ int main(int Argc, char **Argv) {
 
   // locked: a single mutex; every scan takes it exclusively.
   double LockedSec = timeMinSeconds([&] {
-    rt::RuntimeConfig Config;
-    Config.DiagMode = false;
-    rt::Runtime::init(Config);
+    rt::Runtime::init();
     {
       auto *M = sharc::alloc<Mutex>();
       std::vector<Locked<uint64_t> *> Table;
@@ -87,9 +85,7 @@ int main(int Argc, char **Argv) {
 
   // rwlocked: shared holds for scans.
   double RwSec = timeMinSeconds([&] {
-    rt::RuntimeConfig Config;
-    Config.DiagMode = false;
-    rt::Runtime::init(Config);
+    rt::Runtime::init();
     {
       auto *M = sharc::alloc<SharedMutex>();
       std::vector<RwLocked<uint64_t> *> Table;
@@ -114,9 +110,7 @@ int main(int Argc, char **Argv) {
   // dynamic: the checker watches the same read-mostly pattern unlocked.
   uint64_t Conflicts = 0;
   double DynSec = timeMinSeconds([&] {
-    rt::RuntimeConfig Config;
-    Config.DiagMode = false;
-    rt::Runtime::init(Config);
+    rt::Runtime::init();
     {
       rt::Runtime &RT = rt::Runtime::get();
       uint64_t *Table =

@@ -30,7 +30,6 @@ namespace {
 double hotCheckMops(unsigned ShadowBytes, unsigned Iterations) {
   rt::RuntimeConfig Config;
   Config.ShadowBytesPerGranule = ShadowBytes;
-  Config.DiagMode = false;
   rt::Runtime::init(Config);
   double Sec;
   {
@@ -53,7 +52,6 @@ double concurrentScanMopsTotal(unsigned ShadowBytes, unsigned NumThreads,
                                unsigned RoundsPerThread) {
   rt::RuntimeConfig Config;
   Config.ShadowBytesPerGranule = ShadowBytes;
-  Config.DiagMode = false;
   rt::Runtime::init(Config);
   double Sec;
   constexpr unsigned NumGranules = 4096;

@@ -7,8 +7,8 @@
 /// \file
 /// Configuration knobs for the SharC runtime. Defaults correspond to the
 /// configuration evaluated in the paper: 16-byte granules with one shadow
-/// byte each (supporting 8n-1 = 7 concurrent threads), diagnostics on, and
-/// the adapted Levanoni-Petrank reference-counting algorithm.
+/// byte each (supporting 8n-1 = 7 concurrent threads) and the adapted
+/// Levanoni-Petrank reference-counting algorithm.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,11 +51,6 @@ struct RuntimeConfig {
   /// Number of shadow bytes per granule. Supports 8*N-1 thread ids; the
   /// paper finds N=1 (7 threads) sufficient for its benchmarks.
   unsigned ShadowBytesPerGranule = 1;
-
-  /// Record last-accessor provenance per granule so conflict reports can
-  /// name the previous access ("last(1) lvalue @ file:line"). Costs one
-  /// pointer-sized diag cell per granule; disable for overhead benches.
-  bool DiagMode = true;
 
   /// Reference-counting engine.
   RcMode Rc = RcMode::LevanoniPetrank;

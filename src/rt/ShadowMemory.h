@@ -19,7 +19,9 @@
 /// paper's use of cmpxchg. A thread's first access to a granule logs the
 /// granule address so the thread's bits can be cleared cheaply when it
 /// exits ("SharC does not consider it a race for two threads to access the
-/// same location if their execution does not overlap").
+/// same location if their execution does not overlap"). The log entry also
+/// carries the access site; it is the only provenance a conflict report
+/// has for the other thread's access.
 ///
 /// Shadow is organized as a lock-free chained hash table of pages covering
 /// 4 KiB of application address space each, so heap, globals, and stack can
@@ -50,7 +52,7 @@ namespace rt {
 class ShadowMemory {
 public:
   ShadowMemory(const RuntimeConfig &Config, RuntimeStats &Stats,
-               ReportSink &Sink);
+               ReportSink &Sink, ThreadRegistry &Registry);
   ~ShadowMemory();
 
   ShadowMemory(const ShadowMemory &) = delete;
@@ -85,7 +87,6 @@ public:
   unsigned granuleSize() const { return 1u << Config.GranuleShift; }
 
 private:
-  struct DiagCell;
   struct Page;
 
   Page *lookupPage(uintptr_t PageBase) const;
@@ -98,7 +99,7 @@ private:
   template <typename WordT> void clearThreadBitsImpl(ThreadState &TS);
 
   void reportConflict(bool IsWrite, uintptr_t Addr, ThreadState &TS,
-                      const AccessSite *Site, Page *P, size_t GranuleIndex);
+                      const AccessSite *Site, uint64_t SeenWord);
 
   /// Quarantine (guard::Policy::Quarantine only): granules demoted to
   /// racy-equivalent stop firing. Consulted exclusively on the conflict
@@ -109,6 +110,7 @@ private:
   const RuntimeConfig &Config;
   RuntimeStats &Stats;
   ReportSink &Sink;
+  ThreadRegistry &Registry;
 
   static constexpr unsigned PageShift = 12;
   static constexpr size_t PageBytes = size_t(1) << PageShift;

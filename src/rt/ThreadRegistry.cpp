@@ -55,6 +55,8 @@ void ThreadRegistry::deregisterThread(ThreadState *State) {
   unsigned Index = State->Tid - 1;
   assert(Live[Index].get() == State && "thread state/id mismatch");
   State->Retired = true;
+  // Its bits are already cleared; no report may read the log past here.
+  State->AccessLog.clear();
   // Keep the state alive for the collector if it has pending RC log
   // entries; otherwise it can be dropped immediately.
   if (State->RcLogs[0].empty() && State->RcLogs[1].empty()) {

@@ -7,15 +7,17 @@
 /// \file
 /// Assigns small thread ids (1..8n-1, matching the shadow-byte encoding of
 /// Section 4.2.1) and owns per-thread state: the first-access log used to
-/// clear a thread's shadow bits cheaply at exit, the per-thread
-/// reference-counting logs of the adapted Levanoni-Petrank algorithm
-/// (Section 4.3), and the held-lock log (Section 4.2.2).
+/// clear a thread's shadow bits cheaply at exit and to name the site in
+/// conflict reports, the per-thread reference-counting logs of the adapted
+/// Levanoni-Petrank algorithm (Section 4.3), and the held-lock log
+/// (Section 4.2.2).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHARC_RT_THREADREGISTRY_H
 #define SHARC_RT_THREADREGISTRY_H
 
+#include "rt/AccessSite.h"
 #include "rt/Profile.h"
 #include "rt/RcLog.h"
 
@@ -28,6 +30,13 @@
 namespace sharc {
 namespace rt {
 
+/// One first-access log entry: a granule whose shadow cell the thread set
+/// its bit in, and the site of the access that set it.
+struct AccessLogEntry {
+  uintptr_t Granule = 0;
+  const AccessSite *Site = nullptr;
+};
+
 /// All per-thread runtime state. Allocated when a thread registers and
 /// retained (in a retired list) after it exits until the next reference
 /// count collection has drained its logs.
@@ -35,11 +44,13 @@ struct ThreadState {
   /// Small id, 1..maxThreads. Doubles as the shadow bit index.
   unsigned Tid = 0;
 
-  /// Granule base addresses whose shadow cell this thread has set a bit in
-  /// since the bit was last clear. Used to clear this thread's bits at exit
-  /// ("the clearing operation is made efficient by logging the addresses of
-  /// all of a thread's reads and writes on its first accesses").
-  std::vector<uintptr_t> AccessLog;
+  /// Granules whose shadow cell this thread has set its bit in since the
+  /// bit was last clear, oldest first. Used to clear this thread's bits at
+  /// exit ("the clearing operation is made efficient by logging the
+  /// addresses of all of a thread's reads and writes on its first
+  /// accesses") and read by other threads' conflict reports under the
+  /// registry lock; emptied, under that lock, when the thread deregisters.
+  ChunkedLog<AccessLogEntry> AccessLog;
 
   /// Double-buffered reference-count update logs, indexed by epoch.
   RcLog RcLogs[2];
@@ -66,8 +77,8 @@ struct ThreadState {
   std::unique_ptr<ThreadProfile> Prof;
 
   size_t memoryFootprint() const {
-    return AccessLog.capacity() * sizeof(uintptr_t) +
-           RcLogs[0].memoryFootprint() + RcLogs[1].memoryFootprint() +
+    return AccessLog.memoryFootprint() + RcLogs[0].memoryFootprint() +
+           RcLogs[1].memoryFootprint() +
            HeldLocks.capacity() * sizeof(void *) +
            (Prof ? Prof->tableBytes() : 0);
   }
@@ -88,8 +99,9 @@ public:
   /// supports 8n-1 concurrent threads).
   ThreadState *registerThread();
 
-  /// Marks \p State retired and frees its id for reuse. The state object
-  /// itself stays alive until purgeRetired() (called after a collection).
+  /// Marks \p State retired, drops its access log and frees its id for
+  /// reuse. The state object itself stays alive until purgeRetired()
+  /// (called after a collection).
   void deregisterThread(ThreadState *State);
 
   /// Invokes \p Fn on every live and retired ThreadState, holding the

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <vector>
 
 using namespace sharc;
@@ -150,6 +151,52 @@ TEST(ShadowConflictTest, WriteWriteConflictReportsLastAccessor) {
   RT.deallocate(P);
 }
 
+TEST(ShadowConflictTest, LastNamesTheOtherThreadNotTheReporter) {
+  // The main thread writes at line 2; another thread reads at lines 1 and
+  // 3. Both reads conflict, and both reports name the write: "last" is a
+  // thread holding the granule, never the reporting thread itself.
+  RuntimeGuard Guard;
+  Runtime &RT = Runtime::get();
+  int *P = static_cast<int *>(RT.allocate(sizeof(int)));
+  static const AccessSite Read1{"*p", "t.c", 1};
+  static const AccessSite Write2{"*p", "t.c", 2};
+  static const AccessSite Read3{"*p", "t.c", 3};
+  unsigned MainTid = RT.currentThread().Tid;
+  EXPECT_TRUE(RT.checkWrite(P, sizeof(int), &Write2));
+  onThread([&] {
+    EXPECT_FALSE(RT.checkRead(P, sizeof(int), &Read1));
+    EXPECT_FALSE(RT.checkRead(P, sizeof(int), &Read3));
+  });
+  auto Reports = RT.getReports().getReports();
+  ASSERT_EQ(Reports.size(), 2u);
+  for (const ConflictReport &R : Reports) {
+    EXPECT_EQ(R.LastTid, MainTid);
+    EXPECT_EQ(R.LastSite, &Write2);
+    EXPECT_TRUE(R.LastWasWrite);
+  }
+  std::string Last = "last(" + std::to_string(MainTid) + ") *p @ t.c: 2";
+  EXPECT_NE(Reports[1].format().find(Last), std::string::npos);
+  RT.deallocate(P);
+}
+
+TEST(ShadowConflictTest, LastSiteIsTheNewestLogEntry) {
+  // Clearing a range (a free or a sharing cast) leaves the old log entry
+  // behind; the next access logs again, and reports use the newer entry.
+  RuntimeGuard Guard;
+  Runtime &RT = Runtime::get();
+  int *P = static_cast<int *>(RT.allocate(sizeof(int)));
+  static const AccessSite Before{"*p", "t.c", 1};
+  static const AccessSite After{"*p", "t.c", 2};
+  EXPECT_TRUE(RT.checkWrite(P, sizeof(int), &Before));
+  RT.getShadow().clearRange(P, sizeof(int));
+  EXPECT_TRUE(RT.checkWrite(P, sizeof(int), &After));
+  onThread([&] { EXPECT_FALSE(RT.checkWrite(P, sizeof(int), nullptr)); });
+  auto Reports = RT.getReports().getReports();
+  ASSERT_EQ(Reports.size(), 1u);
+  EXPECT_EQ(Reports[0].LastSite, &After);
+  RT.deallocate(P);
+}
+
 TEST(ShadowConflictTest, ThreadExitClearsItsBits) {
   RuntimeGuard Guard;
   Runtime &RT = Runtime::get();
@@ -245,9 +292,9 @@ TEST(ShadowStatsTest, DynamicAccessesAreCounted) {
 TEST(ShadowStatsTest, ShadowMemoryIsProportionalToGranuleCount) {
   // With 1 shadow byte per 16-byte granule the steady-state shadow cost of
   // N touched pages is about N * 256 bytes of cells plus page overhead.
-  RuntimeConfig Config;
-  Config.DiagMode = false;
-  RuntimeGuard Guard(Config);
+  // This runs the default configuration: any per-granule side table
+  // (such as a provenance cell) would break the bound.
+  RuntimeGuard Guard;
   Runtime &RT = Runtime::get();
   uint64_t Before = RT.getStats().ShadowBytes;
   constexpr size_t Bytes = 1u << 20; // 1 MiB, 256 pages.
