@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
+#include <ctime>
 
 using namespace sharc;
 using namespace sharc::guard;
@@ -246,6 +247,8 @@ struct HookEntry {
 HookEntry Hooks[MaxCrashHooks];
 std::atomic<int> NumHooks{0};
 std::atomic<bool> HooksRan{false};
+std::atomic<bool> HooksDone{false};
+thread_local bool RunningHooks = false;
 std::atomic<bool> HandlersInstalled{false};
 
 // SA_RESETHAND restores the default disposition on entry, so re-raising
@@ -280,14 +283,26 @@ void guard::installCrashHandlers() {
 }
 
 void guard::runCrashHooks(int Signal) {
-  if (HooksRan.exchange(true))
+  if (HooksRan.exchange(true)) {
+    // Another thread is running the hooks. This thread is about to die
+    // too, and its exit would cut that flush short, so wait for it (at
+    // most 10 s, so a stuck hook cannot hang the process). A hook that
+    // crashes re-enters on its own thread and must not wait for itself.
+    const timespec OneMs{0, 1000000};
+    for (int I = 0; I != 10000 && !RunningHooks &&
+                    !HooksDone.load(std::memory_order_acquire);
+         ++I)
+      nanosleep(&OneMs, nullptr);
     return;
+  }
+  RunningHooks = true;
   // Newest-first: the most recently registered hook owns the most
   // recently opened trace.
   int N = NumHooks.load(std::memory_order_acquire);
   for (int I = N - 1; I >= 0; --I)
     if (Hooks[I].Fn)
       Hooks[I].Fn(Signal, Hooks[I].Ctx);
+  HooksDone.store(true, std::memory_order_release);
 }
 
 void guard::fatalInternal(const char *Fmt, ...) {
