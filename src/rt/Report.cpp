@@ -75,6 +75,25 @@ std::string ConflictReport::format() const {
   return Out;
 }
 
+/// Deduplication key: (kind, who-site, granule-ish address) hash-combined
+/// into one value; collisions merely suppress an extra copy of a report.
+static uint64_t dedupKey(const ConflictReport &R) {
+  uint64_t Key = static_cast<uint64_t>(R.Kind) * 1000003u ^
+                 std::hash<const void *>()(R.WhoSite);
+  return Key * 1000003u ^ std::hash<uintptr_t>()(R.Address);
+}
+
+bool ReportSink::hasRoomFor(ReportKind Kind) const {
+  size_t KindIdx = static_cast<size_t>(Kind) % NumReportKinds;
+  return Reports.size() < MaxReports &&
+         !(MaxPerKind && RetainedPerKind[KindIdx] >= MaxPerKind);
+}
+
+bool ReportSink::wouldRetain(const ConflictReport &Report) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Seen.count(dedupKey(Report)) == 0 && hasRoomFor(Report.Kind);
+}
+
 bool ReportSink::report(const ConflictReport &Report) {
   if (Obs) {
     sharc::obs::Event Ev;
@@ -91,19 +110,9 @@ bool ReportSink::report(const ConflictReport &Report) {
   std::lock_guard<std::mutex> Lock(Mutex);
   ++TotalViolations;
   ++TotalByKind[static_cast<size_t>(Report.Kind) % NumReportKinds];
-  // Deduplicate on (kind, who-site, granule-ish address). Hash-combine into
-  // a single key; collisions merely suppress an extra copy of a report.
-  uint64_t Key = static_cast<uint64_t>(Report.Kind);
-  Key = Key * 1000003u ^ std::hash<const void *>()(Report.WhoSite);
-  Key = Key * 1000003u ^ std::hash<uintptr_t>()(Report.Address);
-  if (!Seen.insert(Key).second)
+  if (!Seen.insert(dedupKey(Report)).second || !hasRoomFor(Report.Kind))
     return false;
-  if (Reports.size() >= MaxReports)
-    return false;
-  size_t KindIdx = static_cast<size_t>(Report.Kind) % NumReportKinds;
-  if (MaxPerKind && RetainedPerKind[KindIdx] >= MaxPerKind)
-    return false;
-  ++RetainedPerKind[KindIdx];
+  ++RetainedPerKind[static_cast<size_t>(Report.Kind) % NumReportKinds];
   Reports.push_back(Report);
   return true;
 }
@@ -126,15 +135,4 @@ std::vector<ConflictReport> ReportSink::getReports() const {
 size_t ReportSink::getNumReports() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Reports.size();
-}
-
-void ReportSink::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Reports.clear();
-  Seen.clear();
-  TotalViolations = 0;
-  for (uint64_t &N : TotalByKind)
-    N = 0;
-  for (size_t &N : RetainedPerKind)
-    N = 0;
 }
