@@ -232,9 +232,8 @@ std::vector<int64_t> replayRc(rt::RcMode Mode,
   Config.Rc = Mode;
   Config.RcTableCapacity = 1u << 16;
   Config.ShadowBytesPerGranule = 8; // 63 simulated threads.
-  rt::RuntimeStats Stats;
   rt::ThreadRegistry Registry(Config.maxThreads());
-  rt::RefCountEngine Engine(Config, Stats, Registry);
+  rt::RefCountEngine Engine(Config, Registry);
 
   std::vector<uintptr_t> Arena(ArenaSize, 0);
   std::map<unsigned, rt::ThreadState *> States;

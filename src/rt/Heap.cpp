@@ -29,9 +29,8 @@ struct Heap::Header {
   uint64_t Size;
 };
 
-Heap::Heap(const RuntimeConfig &Config, RuntimeStats &Stats,
-           ShadowMemory &Shadow, ReportSink &Sink)
-    : Config(Config), Stats(Stats), Shadow(Shadow), Sink(Sink) {
+Heap::Heap(const RuntimeConfig &Config, ShadowMemory &Shadow, ReportSink &Sink)
+    : Config(Config), Shadow(Shadow), Sink(Sink) {
   size_t Granule = Config.granuleSize();
   HeaderBytes = sizeof(Header);
   if (HeaderBytes % Granule != 0)
@@ -66,12 +65,12 @@ void *Heap::allocate(size_t Size) {
         "out of memory allocating %zu bytes (%zu with header/rounding); "
         "heap payload in use: %llu bytes",
         Size, HeaderBytes + Payload,
-        static_cast<unsigned long long>(Stats.snapshot().HeapPayloadBytes));
+        static_cast<unsigned long long>(getPayloadBytes()));
   }
   auto *H = static_cast<Header *>(Raw);
   H->Magic = HeaderMagicLive;
   H->Size = Size;
-  Stats.addHeapPayload(static_cast<int64_t>(Payload));
+  addPayload(static_cast<int64_t>(Payload));
   return static_cast<char *>(Raw) + HeaderBytes;
 }
 
@@ -89,9 +88,20 @@ void Heap::deallocate(void *Ptr) {
   // cleared."
   Shadow.clearRange(Ptr, H->Size ? H->Size : 1);
   H->Magic = HeaderMagicFreed;
-  Stats.addHeapPayload(-static_cast<int64_t>(Payload));
+  addPayload(-static_cast<int64_t>(Payload));
   std::lock_guard<std::mutex> Lock(Mutex);
   Deferred.push_back(H);
+}
+
+/// Tracks a high-water mark for payload bytes.
+void Heap::addPayload(int64_t Delta) {
+  uint64_t Now = PayloadBytes.fetch_add(static_cast<uint64_t>(Delta),
+                                        std::memory_order_relaxed) +
+                 static_cast<uint64_t>(Delta);
+  uint64_t Peak = PeakPayloadBytes.load(std::memory_order_relaxed);
+  while (Now > Peak && !PeakPayloadBytes.compare_exchange_weak(
+                           Peak, Now, std::memory_order_relaxed))
+    ;
 }
 
 size_t Heap::allocationSize(const void *Ptr) const {

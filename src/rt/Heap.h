@@ -22,9 +22,10 @@
 
 #include "rt/Config.h"
 #include "rt/Report.h"
-#include "rt/Stats.h"
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -36,8 +37,7 @@ class ShadowMemory;
 /// Granule-aligned allocator with size headers and deferred frees.
 class Heap {
 public:
-  Heap(const RuntimeConfig &Config, RuntimeStats &Stats, ShadowMemory &Shadow,
-       ReportSink &Sink);
+  Heap(const RuntimeConfig &Config, ShadowMemory &Shadow, ReportSink &Sink);
   ~Heap();
 
   Heap(const Heap &) = delete;
@@ -66,18 +66,24 @@ public:
   /// collection when this grows too large.
   size_t getNumDeferred() const;
 
+  /// Payload bytes of live allocations, and their high-water mark.
+  uint64_t getPayloadBytes() const { return PayloadBytes.load(); }
+  uint64_t getPeakPayloadBytes() const { return PeakPayloadBytes.load(); }
+
 private:
   struct Header;
   Header *headerFor(const void *Payload) const;
+  void addPayload(int64_t Delta);
 
   const RuntimeConfig &Config;
-  RuntimeStats &Stats;
   ShadowMemory &Shadow;
   ReportSink &Sink;
   size_t HeaderBytes;
 
   mutable std::mutex Mutex;
   std::vector<void *> Deferred;
+  std::atomic<uint64_t> PayloadBytes{0};
+  std::atomic<uint64_t> PeakPayloadBytes{0};
 };
 
 } // namespace rt

@@ -9,9 +9,8 @@
 using namespace sharc::rt;
 
 RefCountEngine::RefCountEngine(const RuntimeConfig &Config,
-                               RuntimeStats &Stats, ThreadRegistry &Registry)
-    : Config(Config), Stats(Stats), Registry(Registry),
-      Table(Config.RcTableCapacity) {}
+                               ThreadRegistry &Registry)
+    : Config(Config), Registry(Registry), Table(Config.RcTableCapacity) {}
 
 void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
                               ThreadState &TS) {
@@ -20,7 +19,7 @@ void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
     std::atomic_ref<uintptr_t>(*Slot).store(New, std::memory_order_release);
     return;
   case RcMode::Atomic: {
-    Stats.RcBarriers.fetch_add(1, std::memory_order_relaxed);
+    TS.Counters.bump(Counter::RcBarriers);
     uintptr_t Old = std::atomic_ref<uintptr_t>(*Slot).exchange(
         New, std::memory_order_acq_rel);
     if (Old)
@@ -30,7 +29,7 @@ void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
     return;
   }
   case RcMode::LevanoniPetrank:
-    Stats.RcBarriers.fetch_add(1, std::memory_order_relaxed);
+    TS.Counters.bump(Counter::RcBarriers);
     storeLevanoniPetrank(Slot, New, TS);
     return;
   }
@@ -70,7 +69,8 @@ void RefCountEngine::collect(ThreadState &TS) {
 }
 
 void RefCountEngine::collectLocked() {
-  Stats.Collections.fetch_add(1, std::memory_order_relaxed);
+  Collections.store(Collections.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
 
   // Hold the registry's structural lock for the whole collection so the
   // set of thread states is stable across all passes. Threads trying to

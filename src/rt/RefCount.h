@@ -33,7 +33,6 @@
 #include "rt/Config.h"
 #include "rt/DirtyTable.h"
 #include "rt/RcTable.h"
-#include "rt/Stats.h"
 #include "rt/ThreadRegistry.h"
 
 #include <atomic>
@@ -45,8 +44,7 @@ namespace rt {
 /// The reference-counting engine. One instance per Runtime.
 class RefCountEngine {
 public:
-  RefCountEngine(const RuntimeConfig &Config, RuntimeStats &Stats,
-                 ThreadRegistry &Registry);
+  RefCountEngine(const RuntimeConfig &Config, ThreadRegistry &Registry);
 
   RefCountEngine(const RefCountEngine &) = delete;
   RefCountEngine &operator=(const RefCountEngine &) = delete;
@@ -79,6 +77,7 @@ public:
 
   RcMode getMode() const { return Config.Rc; }
   const RcTable &getTable() const { return Table; }
+  uint64_t getNumCollections() const { return Collections.load(); }
 
   /// Registers a callback run at the end of each collection while the
   /// collector lock is still held; the heap uses this to release deferred
@@ -94,12 +93,13 @@ private:
   void collectLocked();
 
   const RuntimeConfig &Config;
-  RuntimeStats &Stats;
   ThreadRegistry &Registry;
   RcTable Table;
   DirtyTable Dirty;
   std::atomic<uint32_t> Epoch{0};
   std::mutex CollectorMutex;
+  /// Written only under CollectorMutex.
+  std::atomic<uint64_t> Collections{0};
   void (*PostCollectHook)(void *) = nullptr;
   void *PostCollectCtx = nullptr;
 };

@@ -108,7 +108,6 @@ bool ReportSink::report(const ConflictReport &Report) {
     Obs->event(Ev);
   }
   std::lock_guard<std::mutex> Lock(Mutex);
-  ++TotalViolations;
   ++TotalByKind[static_cast<size_t>(Report.Kind) % NumReportKinds];
   if (!Seen.insert(dedupKey(Report)).second || !hasRoomFor(Report.Kind))
     return false;

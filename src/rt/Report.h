@@ -22,7 +22,9 @@
 #include "rt/AccessSite.h"
 
 #include <cstdint>
+#include <iterator>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -84,11 +86,15 @@ public:
   size_t getNumReports() const;
 
   /// Total violations observed, including deduplicated repeats.
-  uint64_t getTotalViolations() const { return TotalViolations; }
+  uint64_t getTotalViolations() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return std::accumulate(std::begin(TotalByKind), std::end(TotalByKind),
+                           uint64_t(0));
+  }
 
   /// Total reports of \p K observed, including deduplicated repeats —
-  /// the stats endpoint's sharc_stall_reports_total reads the
-  /// StallTimeout bucket.
+  /// the one count of each violation kind: StatsSnapshot's conflict
+  /// fields and the stats endpoint's sharc_stall_reports_total read it.
   uint64_t getTotalOfKind(ReportKind K) const {
     std::lock_guard<std::mutex> Lock(Mutex);
     return TotalByKind[static_cast<size_t>(K) % NumReportKinds];
@@ -112,7 +118,6 @@ private:
   mutable std::mutex Mutex;
   std::vector<ConflictReport> Reports;
   std::unordered_set<uint64_t> Seen;
-  uint64_t TotalViolations = 0;
   uint64_t TotalByKind[NumReportKinds] = {};
   size_t RetainedPerKind[NumReportKinds] = {};
 };

@@ -61,9 +61,9 @@ Runtime::Runtime(const RuntimeConfig &Config)
                          static_cast<unsigned long long>(Watchdog), Cap);
   guard::initFaultsFromEnv();
   Sink.setMaxPerKind(this->Config.Guard.MaxReportsPerKind);
-  Shadow = std::make_unique<ShadowMemory>(this->Config, Stats, Sink, Registry);
-  Rc = std::make_unique<RefCountEngine>(this->Config, Stats, Registry);
-  TheHeap = std::make_unique<Heap>(this->Config, Stats, *Shadow, Sink);
+  Shadow = std::make_unique<ShadowMemory>(this->Config, Sink, Registry);
+  Rc = std::make_unique<RefCountEngine>(this->Config, Registry);
+  TheHeap = std::make_unique<Heap>(this->Config, *Shadow, Sink);
   Rc->setPostCollectHook(
       [](void *Ctx) { static_cast<Heap *>(Ctx)->releaseDeferred(); },
       TheHeap.get());
@@ -157,7 +157,7 @@ bool Runtime::observedCheckWrite(ThreadState &T, const void *Addr, size_t Size,
 
 void Runtime::rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
                               ThreadState &T) {
-  // RcMode::None never bumps Stats.RcBarriers, so profiling nothing here
+  // RcMode::None never counts an RC barrier, so profiling nothing here
   // keeps profile totals exactly equal to the final StatsSnapshot.
   if (Config.Rc == RcMode::None) {
     Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot),
@@ -245,10 +245,9 @@ void Runtime::onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
   TS.HeldLocks.push_back(Lock);
   if (TS.Prof) {
     TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
-    LiveLockAcquires.fetch_add(1, std::memory_order_relaxed);
-    if (Contended)
-      LiveLockContended.fetch_add(1, std::memory_order_relaxed);
-    LiveLockWaitUnits.fetch_add(WaitCycles, std::memory_order_relaxed);
+    TS.Counters.bump(Counter::LockAcquires);
+    TS.Counters.bump(Counter::LockContended, Contended);
+    TS.Counters.bump(Counter::LockWaitUnits, WaitCycles);
   }
   if (Config.Obs) [[unlikely]]
     publishEvent(obs::EventKind::LockAcquire, Lock, 0);
@@ -257,8 +256,7 @@ void Runtime::onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
 void Runtime::onLockRelease(const void *Lock) {
   ThreadState &TS = currentThread();
   if (TS.Prof) [[unlikely]]
-    LiveLockHoldUnits.fetch_add(TS.Prof->lockReleased(Lock),
-                                std::memory_order_relaxed);
+    TS.Counters.bump(Counter::LockHoldUnits, TS.Prof->lockReleased(Lock));
   if (Config.Guard.WatchdogMillis != 0) [[unlikely]] {
     std::lock_guard<std::mutex> G(GuardMutex);
     LockHolders.erase(reinterpret_cast<uintptr_t>(Lock));
@@ -343,26 +341,25 @@ bool Runtime::checkLockHeld(const void *Lock, const void *Addr,
   ThreadState &TS = currentThread();
   if (TS.Prof) [[unlikely]] {
     uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkLockHeldImpl(Lock, Addr, Site);
+    bool Ok = checkLockHeldImpl(TS, Lock, Addr, Site);
     TS.Prof->commit(Site, obs::CheckKind::LockCheck, 0, T0);
     return Ok;
   }
-  return checkLockHeldImpl(Lock, Addr, Site);
+  return checkLockHeldImpl(TS, Lock, Addr, Site);
 }
 
-bool Runtime::checkLockHeldImpl(const void *Lock, const void *Addr,
-                                const AccessSite *Site) {
-  Stats.LockChecks.fetch_add(1, std::memory_order_relaxed);
+bool Runtime::checkLockHeldImpl(ThreadState &TS, const void *Lock,
+                                const void *Addr, const AccessSite *Site) {
+  TS.Counters.bump(Counter::LockChecks);
   if (holdsLock(Lock))
     return true;
   if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
       isAddrQuarantined(Addr))
     return true;
-  Stats.LockViolations.fetch_add(1, std::memory_order_relaxed);
   ConflictReport Report;
   Report.Kind = ReportKind::LockViolation;
   Report.Address = reinterpret_cast<uintptr_t>(Addr);
-  Report.WhoTid = currentThread().Tid;
+  Report.WhoTid = TS.Tid;
   Report.WhoSite = Site;
   if (guard::onViolation(Config.Guard, Report, Sink) ==
       guard::Verdict::Quarantine)
@@ -384,10 +381,9 @@ void Runtime::onSharedLockAcquireProfiled(const void *Lock,
   TS.HeldSharedLocks.push_back(Lock);
   if (TS.Prof) {
     TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
-    LiveLockAcquires.fetch_add(1, std::memory_order_relaxed);
-    if (Contended)
-      LiveLockContended.fetch_add(1, std::memory_order_relaxed);
-    LiveLockWaitUnits.fetch_add(WaitCycles, std::memory_order_relaxed);
+    TS.Counters.bump(Counter::LockAcquires);
+    TS.Counters.bump(Counter::LockContended, Contended);
+    TS.Counters.bump(Counter::LockWaitUnits, WaitCycles);
   }
   if (Config.Obs) [[unlikely]]
     publishEvent(obs::EventKind::SharedLockAcquire, Lock, 0);
@@ -396,8 +392,7 @@ void Runtime::onSharedLockAcquireProfiled(const void *Lock,
 void Runtime::onSharedLockRelease(const void *Lock) {
   ThreadState &TS = currentThread();
   if (TS.Prof) [[unlikely]]
-    LiveLockHoldUnits.fetch_add(TS.Prof->lockReleased(Lock),
-                                std::memory_order_relaxed);
+    TS.Counters.bump(Counter::LockHoldUnits, TS.Prof->lockReleased(Lock));
   auto It = std::find(TS.HeldSharedLocks.rbegin(), TS.HeldSharedLocks.rend(),
                       Lock);
   assert(It != TS.HeldSharedLocks.rend() &&
@@ -418,26 +413,26 @@ bool Runtime::checkRwLockHeldForRead(const void *Lock, const void *Addr,
   ThreadState &TS = currentThread();
   if (TS.Prof) [[unlikely]] {
     uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkRwLockHeldForReadImpl(Lock, Addr, Site);
+    bool Ok = checkRwLockHeldForReadImpl(TS, Lock, Addr, Site);
     TS.Prof->commit(Site, obs::CheckKind::LockCheck, 0, T0);
     return Ok;
   }
-  return checkRwLockHeldForReadImpl(Lock, Addr, Site);
+  return checkRwLockHeldForReadImpl(TS, Lock, Addr, Site);
 }
 
-bool Runtime::checkRwLockHeldForReadImpl(const void *Lock, const void *Addr,
+bool Runtime::checkRwLockHeldForReadImpl(ThreadState &TS, const void *Lock,
+                                         const void *Addr,
                                          const AccessSite *Site) {
-  Stats.LockChecks.fetch_add(1, std::memory_order_relaxed);
+  TS.Counters.bump(Counter::LockChecks);
   if (holdsLock(Lock) || holdsLockShared(Lock))
     return true;
   if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
       isAddrQuarantined(Addr))
     return true;
-  Stats.LockViolations.fetch_add(1, std::memory_order_relaxed);
   ConflictReport Report;
   Report.Kind = ReportKind::LockViolation;
   Report.Address = reinterpret_cast<uintptr_t>(Addr);
-  Report.WhoTid = currentThread().Tid;
+  Report.WhoTid = TS.Tid;
   Report.WhoSite = Site;
   if (guard::onViolation(Config.Guard, Report, Sink) ==
       guard::Verdict::Quarantine)
@@ -471,18 +466,18 @@ bool Runtime::checkCast(void *Obj, size_t ObjSize, const AccessSite *Site) {
   ThreadState &TS = currentThread();
   if (TS.Prof) [[unlikely]] {
     uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkCastImpl(Obj, ObjSize, Site);
+    bool Ok = checkCastImpl(TS, Obj, ObjSize, Site);
     TS.Prof->commit(Site, obs::CheckKind::SharingCast, 0, T0);
     return Ok;
   }
-  return checkCastImpl(Obj, ObjSize, Site);
+  return checkCastImpl(TS, Obj, ObjSize, Site);
 }
 
-bool Runtime::checkCastImpl(void *Obj, size_t ObjSize, const AccessSite *Site) {
-  Stats.SharingCasts.fetch_add(1, std::memory_order_relaxed);
+bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
+                            const AccessSite *Site) {
+  TS.Counters.bump(Counter::SharingCasts);
   if (!Obj)
     return true;
-  ThreadState &TS = currentThread();
   // After the source has been nulled and accounted, any remaining counted
   // reference means the object is reachable under its old mode: reject.
   int64_t Count = Rc->getRefCount(reinterpret_cast<uintptr_t>(Obj), TS);
@@ -503,7 +498,6 @@ bool Runtime::checkCastImpl(void *Obj, size_t ObjSize, const AccessSite *Site) {
   if (Config.Obs) [[unlikely]]
     publishEvent(obs::EventKind::SharingCast, Obj, Count);
   if (Count > 0 && Config.Rc != RcMode::None) {
-    Stats.CastErrors.fetch_add(1, std::memory_order_relaxed);
     ConflictReport Report;
     Report.Kind = ReportKind::CastError;
     Report.Address = reinterpret_cast<uintptr_t>(Obj);
@@ -544,23 +538,32 @@ void Runtime::deallocate(void *Ptr) {
   }
 }
 
-StatsSnapshot Runtime::computeStats() {
-  // Fold dynamic per-thread metadata (logs) into LogBytes.
-  uint64_t LogBytes = 0;
-  Registry.forEachState(
-      [&](ThreadState &S) { LogBytes += S.memoryFootprint(); });
-  Stats.LogBytes.store(LogBytes, std::memory_order_relaxed);
+StatsSnapshot Runtime::computeStats(const CounterTotals &Counts) {
+  StatsSnapshot S;
+  S.DynamicReads = Counts[Counter::DynamicReads];
+  S.DynamicWrites = Counts[Counter::DynamicWrites];
+  S.DynamicReadBytes = Counts[Counter::DynamicReadBytes];
+  S.DynamicWriteBytes = Counts[Counter::DynamicWriteBytes];
+  S.LockChecks = Counts[Counter::LockChecks];
+  S.RcBarriers = Counts[Counter::RcBarriers];
+  S.SharingCasts = Counts[Counter::SharingCasts];
+  S.Collections = Rc->getNumCollections();
+  S.ReadConflicts = Sink.getTotalOfKind(ReportKind::ReadConflict);
+  S.WriteConflicts = Sink.getTotalOfKind(ReportKind::WriteConflict);
+  S.LockViolations = Sink.getTotalOfKind(ReportKind::LockViolation);
+  S.CastErrors = Sink.getTotalOfKind(ReportKind::CastError);
+  S.ShadowBytes = Shadow->getShadowBytes();
   // Count the reference-count table by *touched* entries: the analog of
-  // the paper's minor-pagefault measure (untouched table slots never
-  // fault in).
-  if (Config.Rc != RcMode::None)
-    Stats.RcTableBytes.store(Rc->getTable().getNumEntries() * 16,
-                             std::memory_order_relaxed);
-  return Stats.snapshot();
+  // the paper's minor-pagefault measure.
+  S.RcTableBytes = Rc->getTable().getNumEntries() * 16;
+  Registry.forEachState([&](ThreadState &T) { S.LogBytes += T.logBytes(); });
+  S.HeapPayloadBytes = TheHeap->getPayloadBytes();
+  S.PeakHeapPayloadBytes = TheHeap->getPeakPayloadBytes();
+  return S;
 }
 
 StatsSnapshot Runtime::getStats() {
-  StatsSnapshot Snapshot = computeStats();
+  StatsSnapshot Snapshot = computeStats(Registry.sumCounters());
   // Every stats poll doubles as a periodic sample on the event stream.
   if (Config.Obs) [[unlikely]]
     Config.Obs->stats(Snapshot);
@@ -569,15 +572,16 @@ StatsSnapshot Runtime::getStats() {
 
 sharc::live::LiveSnapshot Runtime::liveSnapshot() {
   sharc::live::LiveSnapshot S;
-  S.Stats = computeStats();
+  CounterTotals Counts = Registry.sumCounters();
+  S.Stats = computeStats(Counts);
   S.TotalViolations = Sink.getTotalViolations();
   S.Policy = Config.Guard.OnViolation;
   S.WatchdogMillis = Config.Guard.WatchdogMillis;
   S.StallReports = Sink.getTotalOfKind(ReportKind::StallTimeout);
-  S.LockAcquires = LiveLockAcquires.load(std::memory_order_relaxed);
-  S.LockContended = LiveLockContended.load(std::memory_order_relaxed);
-  S.LockWaitUnits = LiveLockWaitUnits.load(std::memory_order_relaxed);
-  S.LockHoldUnits = LiveLockHoldUnits.load(std::memory_order_relaxed);
+  S.LockAcquires = Counts[Counter::LockAcquires];
+  S.LockContended = Counts[Counter::LockContended];
+  S.LockWaitUnits = Counts[Counter::LockWaitUnits];
+  S.LockHoldUnits = Counts[Counter::LockHoldUnits];
   S.CastDrainQueueDepth = TheHeap->getNumDeferred();
   S.ThreadsLive = Registry.getNumLive();
   S.ThreadsSpawned = Registry.getNumEverRegistered();

@@ -273,11 +273,12 @@ private:
                           const AccessSite *Site);
   void rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
                        ThreadState &T);
-  bool checkLockHeldImpl(const void *Lock, const void *Addr,
+  bool checkLockHeldImpl(ThreadState &TS, const void *Lock, const void *Addr,
                          const AccessSite *Site);
-  bool checkRwLockHeldForReadImpl(const void *Lock, const void *Addr,
-                                  const AccessSite *Site);
-  bool checkCastImpl(void *Obj, size_t ObjSize, const AccessSite *Site);
+  bool checkRwLockHeldForReadImpl(ThreadState &TS, const void *Lock,
+                                  const void *Addr, const AccessSite *Site);
+  bool checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
+                     const AccessSite *Site);
 
   /// Quarantine bookkeeping for lock-check violations (shadow-granule
   /// quarantine lives in ShadowMemory). Both are consulted only under
@@ -285,13 +286,13 @@ private:
   bool isAddrQuarantined(const void *Addr);
   void quarantineAddr(const void *Addr);
 
-  /// Folds per-thread metadata into the counters and snapshots them,
-  /// without the obs stats-sample side effect of getStats() — what the
-  /// scrape path uses so scraping never perturbs the trace.
-  StatsSnapshot computeStats();
+  /// Builds a snapshot from \p Counts (ThreadRegistry::sumCounters), the
+  /// sink's per-kind totals and the subsystems' footprints, without the
+  /// obs stats-sample side effect of getStats() — what the scrape path
+  /// uses so scraping never perturbs the trace.
+  StatsSnapshot computeStats(const CounterTotals &Counts);
 
   RuntimeConfig Config;
-  RuntimeStats Stats;
   ReportSink Sink;
   ThreadRegistry Registry;
   std::unique_ptr<ShadowMemory> Shadow;
@@ -309,13 +310,6 @@ private:
   /// Monotonically increasing instance id; lets the thread-local state
   /// cache detect a runtime that was shut down and re-initialized.
   uint64_t Generation;
-  /// Live lock contention aggregates for the stats endpoint, bumped on
-  /// the profiled (cold) lock paths only — the unprofiled fast path
-  /// touches none of these.
-  std::atomic<uint64_t> LiveLockAcquires{0};
-  std::atomic<uint64_t> LiveLockContended{0};
-  std::atomic<uint64_t> LiveLockWaitUnits{0};
-  std::atomic<uint64_t> LiveLockHoldUnits{0};
   /// Declared last so it is destroyed first: the server thread reads
   /// the members above via liveSnapshot() until stop() joins it.
   std::unique_ptr<live::StatsServer> LiveServer;

@@ -29,9 +29,9 @@ static size_t hashPage(uintptr_t PageBase) {
   return static_cast<size_t>(H >> 48);
 }
 
-ShadowMemory::ShadowMemory(const RuntimeConfig &Config, RuntimeStats &Stats,
-                           ReportSink &Sink, ThreadRegistry &Registry)
-    : Config(Config), Stats(Stats), Sink(Sink), Registry(Registry) {
+ShadowMemory::ShadowMemory(const RuntimeConfig &Config, ReportSink &Sink,
+                           ThreadRegistry &Registry)
+    : Config(Config), Sink(Sink), Registry(Registry) {
   assert(Config.GranuleShift >= 2 && Config.GranuleShift <= PageShift &&
          "granule must be between 4 bytes and one page");
   [[maybe_unused]] unsigned N = Config.ShadowBytesPerGranule;
@@ -85,8 +85,8 @@ ShadowMemory::Page *ShadowMemory::getOrCreatePage(uintptr_t PageBase) {
     Raw->Next.store(Expected, std::memory_order_relaxed);
     if (Head.compare_exchange_weak(Expected, Raw, std::memory_order_release,
                                    std::memory_order_acquire)) {
-      Stats.ShadowBytes.fetch_add(CellBytes + sizeof(Page),
-                                  std::memory_order_relaxed);
+      ShadowBytes.fetch_add(CellBytes + sizeof(Page),
+                            std::memory_order_relaxed);
       NewPage.release();
       return Raw;
     }
@@ -210,10 +210,6 @@ void ShadowMemory::reportConflict(bool IsWrite, uintptr_t Addr,
             Report.LastSite = E.Site;
         });
     });
-  if (IsWrite)
-    Stats.WriteConflicts.fetch_add(1, std::memory_order_relaxed);
-  else
-    Stats.ReadConflicts.fetch_add(1, std::memory_order_relaxed);
   if (guard::onViolation(Config.Guard, Report, Sink) ==
       guard::Verdict::Quarantine)
     quarantineGranule(Addr);
@@ -231,9 +227,8 @@ void ShadowMemory::quarantineGranule(uintptr_t GranuleAddr) {
 
 bool ShadowMemory::checkRead(const void *Addr, size_t Size, ThreadState &TS,
                              const AccessSite *Site) {
-  Stats.DynamicReads.fetch_add(1, std::memory_order_relaxed);
-  Stats.DynamicReadBytes.fetch_add(Size ? Size : 1,
-                                   std::memory_order_relaxed);
+  TS.Counters.bump(Counter::DynamicReads);
+  TS.Counters.bump(Counter::DynamicReadBytes, Size ? Size : 1);
   uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
   switch (Config.ShadowBytesPerGranule) {
   case 1:
@@ -249,9 +244,8 @@ bool ShadowMemory::checkRead(const void *Addr, size_t Size, ThreadState &TS,
 
 bool ShadowMemory::checkWrite(const void *Addr, size_t Size, ThreadState &TS,
                               const AccessSite *Site) {
-  Stats.DynamicWrites.fetch_add(1, std::memory_order_relaxed);
-  Stats.DynamicWriteBytes.fetch_add(Size ? Size : 1,
-                                    std::memory_order_relaxed);
+  TS.Counters.bump(Counter::DynamicWrites);
+  TS.Counters.bump(Counter::DynamicWriteBytes, Size ? Size : 1);
   uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
   switch (Config.ShadowBytesPerGranule) {
   case 1:

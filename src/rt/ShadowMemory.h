@@ -36,7 +36,6 @@
 #include "rt/Config.h"
 #include "rt/Guard.h"
 #include "rt/Report.h"
-#include "rt/Stats.h"
 #include "rt/ThreadRegistry.h"
 
 #include <atomic>
@@ -51,8 +50,8 @@ namespace rt {
 /// The shadow-memory race checker. One instance per Runtime.
 class ShadowMemory {
 public:
-  ShadowMemory(const RuntimeConfig &Config, RuntimeStats &Stats,
-               ReportSink &Sink, ThreadRegistry &Registry);
+  ShadowMemory(const RuntimeConfig &Config, ReportSink &Sink,
+               ThreadRegistry &Registry);
   ~ShadowMemory();
 
   ShadowMemory(const ShadowMemory &) = delete;
@@ -86,6 +85,9 @@ public:
 
   unsigned granuleSize() const { return 1u << Config.GranuleShift; }
 
+  /// Bytes of shadow pages allocated so far; pages are never freed.
+  uint64_t getShadowBytes() const { return ShadowBytes.load(); }
+
 private:
   struct Page;
 
@@ -108,7 +110,6 @@ private:
   void quarantineGranule(uintptr_t GranuleAddr);
 
   const RuntimeConfig &Config;
-  RuntimeStats &Stats;
   ReportSink &Sink;
   ThreadRegistry &Registry;
 
@@ -118,6 +119,7 @@ private:
 
   size_t GranulesPerPage;
   std::unique_ptr<std::atomic<Page *>[]> Buckets;
+  std::atomic<uint64_t> ShadowBytes{0};
   std::mutex QuarantineMutex;
   std::unordered_set<uintptr_t> QuarantinedGranules;
 };

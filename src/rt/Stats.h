@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Counters the runtime maintains for the evaluation harness: how many
+/// Statistics the runtime reports to the evaluation harness: how many
 /// accesses hit the dynamic checker, how much metadata memory (shadow
 /// pages, count table, logs) is live, and how many conflicts were found.
 /// The paper's Table 1 columns "Pagefaults" and "% dynamic Accesses" are
@@ -23,7 +23,10 @@
 namespace sharc {
 namespace rt {
 
-/// A plain snapshot of RuntimeStats, safe to copy and compare.
+/// The runtime's statistics at one moment, safe to copy and compare.
+/// Runtime::getStats() folds it from the per-thread counter blocks, the
+/// report sink's per-kind totals and each subsystem's own footprint
+/// (DESIGN.md §13.1).
 struct StatsSnapshot {
   uint64_t DynamicReads = 0;
   uint64_t DynamicWrites = 0;
@@ -84,60 +87,49 @@ struct StatsSnapshot {
   }
 };
 
-/// Atomic counters updated by the runtime. Hot-path counters are bumped
-/// with relaxed ordering; exactness across simultaneous snapshots is not
-/// required.
-struct RuntimeStats {
-  std::atomic<uint64_t> DynamicReads{0};
-  std::atomic<uint64_t> DynamicWrites{0};
-  std::atomic<uint64_t> DynamicReadBytes{0};
-  std::atomic<uint64_t> DynamicWriteBytes{0};
-  std::atomic<uint64_t> LockChecks{0};
-  std::atomic<uint64_t> RcBarriers{0};
-  std::atomic<uint64_t> Collections{0};
-  std::atomic<uint64_t> SharingCasts{0};
-  std::atomic<uint64_t> ReadConflicts{0};
-  std::atomic<uint64_t> WriteConflicts{0};
-  std::atomic<uint64_t> LockViolations{0};
-  std::atomic<uint64_t> CastErrors{0};
-  std::atomic<uint64_t> ShadowBytes{0};
-  std::atomic<uint64_t> RcTableBytes{0};
-  std::atomic<uint64_t> LogBytes{0};
-  std::atomic<uint64_t> HeapPayloadBytes{0};
-  std::atomic<uint64_t> PeakHeapPayloadBytes{0};
+/// The counters a check bumps: one slot each in its thread's
+/// ThreadCounters block. The last four count profiled lock acquisitions
+/// and are bumped only while profiling is armed.
+enum class Counter : unsigned {
+  DynamicReads,
+  DynamicWrites,
+  DynamicReadBytes,
+  DynamicWriteBytes,
+  LockChecks,
+  RcBarriers,
+  SharingCasts,
+  LockAcquires,
+  LockContended,
+  LockWaitUnits,
+  LockHoldUnits,
+};
 
-  StatsSnapshot snapshot() const {
-    StatsSnapshot S;
-    S.DynamicReads = DynamicReads.load(std::memory_order_relaxed);
-    S.DynamicWrites = DynamicWrites.load(std::memory_order_relaxed);
-    S.DynamicReadBytes = DynamicReadBytes.load(std::memory_order_relaxed);
-    S.DynamicWriteBytes = DynamicWriteBytes.load(std::memory_order_relaxed);
-    S.LockChecks = LockChecks.load(std::memory_order_relaxed);
-    S.RcBarriers = RcBarriers.load(std::memory_order_relaxed);
-    S.Collections = Collections.load(std::memory_order_relaxed);
-    S.SharingCasts = SharingCasts.load(std::memory_order_relaxed);
-    S.ReadConflicts = ReadConflicts.load(std::memory_order_relaxed);
-    S.WriteConflicts = WriteConflicts.load(std::memory_order_relaxed);
-    S.LockViolations = LockViolations.load(std::memory_order_relaxed);
-    S.CastErrors = CastErrors.load(std::memory_order_relaxed);
-    S.ShadowBytes = ShadowBytes.load(std::memory_order_relaxed);
-    S.RcTableBytes = RcTableBytes.load(std::memory_order_relaxed);
-    S.LogBytes = LogBytes.load(std::memory_order_relaxed);
-    S.HeapPayloadBytes = HeapPayloadBytes.load(std::memory_order_relaxed);
-    S.PeakHeapPayloadBytes =
-        PeakHeapPayloadBytes.load(std::memory_order_relaxed);
-    return S;
+constexpr size_t NumCounters = static_cast<size_t>(Counter::LockHoldUnits) + 1;
+
+/// One thread's counters. Only the owning thread writes them, with a
+/// relaxed load and a relaxed store and no read-modify-write; snapshots
+/// read them with relaxed loads. The block fills its own cache lines, so
+/// a check never writes a line another thread writes.
+struct alignas(64) ThreadCounters {
+  std::atomic<uint64_t> Slots[NumCounters]{};
+
+  void bump(Counter C, uint64_t N = 1) {
+    std::atomic<uint64_t> &Slot = Slots[static_cast<unsigned>(C)];
+    Slot.store(Slot.load(std::memory_order_relaxed) + N,
+               std::memory_order_relaxed);
   }
+};
 
-  /// Tracks a high-water mark for payload bytes.
-  void addHeapPayload(int64_t Delta) {
-    uint64_t Now = HeapPayloadBytes.fetch_add(static_cast<uint64_t>(Delta),
-                                              std::memory_order_relaxed) +
-                   static_cast<uint64_t>(Delta);
-    uint64_t Peak = PeakHeapPayloadBytes.load(std::memory_order_relaxed);
-    while (Now > Peak && !PeakHeapPayloadBytes.compare_exchange_weak(
-                             Peak, Now, std::memory_order_relaxed))
-      ;
+/// A sum of ThreadCounters blocks.
+struct CounterTotals {
+  uint64_t Slots[NumCounters] = {};
+
+  void add(const ThreadCounters &Block) {
+    for (size_t I = 0; I != NumCounters; ++I)
+      Slots[I] += Block.Slots[I].load(std::memory_order_relaxed);
+  }
+  uint64_t operator[](Counter C) const {
+    return Slots[static_cast<unsigned>(C)];
   }
 };
 

@@ -31,12 +31,6 @@ ThreadState *ThreadRegistry::registerThread() {
     State->Tid = I + 1;
     ThreadState *Result = State.get();
     Live[I] = std::move(State);
-    unsigned NumLive = 0;
-    for (const auto &S : Live)
-      if (S)
-        ++NumLive;
-    if (NumLive > PeakLive)
-      PeakLive = NumLive;
     EverRegistered.fetch_add(1, std::memory_order_relaxed);
     return Result;
   }
@@ -54,7 +48,7 @@ void ThreadRegistry::deregisterThread(ThreadState *State) {
          "deregistering unknown thread");
   unsigned Index = State->Tid - 1;
   assert(Live[Index].get() == State && "thread state/id mismatch");
-  State->Retired = true;
+  RetiredCounters.add(State->Counters);
   // Its bits are already cleared; no report may read the log past here.
   State->AccessLog.clear();
   // Keep the state alive for the collector if it has pending RC log
@@ -66,9 +60,13 @@ void ThreadRegistry::deregisterThread(ThreadState *State) {
   Retired.push_back(std::move(Live[Index]));
 }
 
-void ThreadRegistry::purgeRetired() {
+CounterTotals ThreadRegistry::sumCounters() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  purgeRetiredUnlocked();
+  CounterTotals Sum = RetiredCounters;
+  for (const auto &State : Live)
+    if (State)
+      Sum.add(State->Counters);
+  return Sum;
 }
 
 void ThreadRegistry::purgeRetiredUnlocked() {

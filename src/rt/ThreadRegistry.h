@@ -20,6 +20,7 @@
 #include "rt/AccessSite.h"
 #include "rt/Profile.h"
 #include "rt/RcLog.h"
+#include "rt/Stats.h"
 
 #include <atomic>
 #include <cstdint>
@@ -44,6 +45,10 @@ struct ThreadState {
   /// Small id, 1..maxThreads. Doubles as the shadow bit index.
   unsigned Tid = 0;
 
+  /// This thread's check counters; the registry folds them into its
+  /// retired total when the thread deregisters.
+  ThreadCounters Counters;
+
   /// Granules whose shadow cell this thread has set its bit in since the
   /// bit was last clear, oldest first. Used to clear this thread's bits at
   /// exit ("the clearing operation is made efficient by logging the
@@ -67,20 +72,16 @@ struct ThreadState {
   /// paper's Section 7 ("more support for locks").
   std::vector<const void *> HeldSharedLocks;
 
-  /// True once the thread has deregistered; retired states are kept until
-  /// their RC logs have been collected.
-  bool Retired = false;
-
   /// Per-site cost profile (sharc-prof). Allocated at registration when
   /// RuntimeConfig::Profile is set, null otherwise — the disabled check
   /// paths test this pointer, nothing more.
   std::unique_ptr<ThreadProfile> Prof;
 
-  size_t memoryFootprint() const {
+  /// Bytes behind the three logs, which other threads may read while
+  /// the owner appends (StatsSnapshot::LogBytes).
+  size_t logBytes() const {
     return AccessLog.memoryFootprint() + RcLogs[0].memoryFootprint() +
-           RcLogs[1].memoryFootprint() +
-           HeldLocks.capacity() * sizeof(void *) +
-           (Prof ? Prof->tableBytes() : 0);
+           RcLogs[1].memoryFootprint();
   }
 };
 
@@ -99,10 +100,14 @@ public:
   /// supports 8n-1 concurrent threads).
   ThreadState *registerThread();
 
-  /// Marks \p State retired, drops its access log and frees its id for
-  /// reuse. The state object itself stays alive until purgeRetired()
-  /// (called after a collection).
+  /// Adds \p State's counters into the retired total, drops its access log
+  /// and frees its id for reuse. A state with pending RC log entries stays
+  /// alive, retired, until purgeRetiredUnlocked() after a collection.
   void deregisterThread(ThreadState *State);
+
+  /// The counters of every thread ever registered: the live blocks plus
+  /// the retired total, summed under the lock so each block counts once.
+  CounterTotals sumCounters() const;
 
   /// Invokes \p Fn on every live and retired ThreadState, holding the
   /// structural lock for the duration.
@@ -128,15 +133,11 @@ public:
   }
 
   /// Frees retired states whose logs have been drained by the collector.
-  void purgeRetired();
-
-  /// purgeRetired() for callers already holding lockStructure().
+  /// The caller holds lockStructure().
   void purgeRetiredUnlocked();
 
   unsigned getMaxThreads() const { return MaxThreads; }
   unsigned getNumLive() const;
-  /// High-water mark of simultaneously registered threads.
-  unsigned getPeakLive() const { return PeakLive; }
   /// Total registrations over the registry's lifetime (ids reused or
   /// not) — the stats endpoint's sharc_threads_spawned_total.
   uint64_t getNumEverRegistered() const {
@@ -149,7 +150,8 @@ private:
   /// Index = tid - 1. Null when the id is free.
   std::vector<std::unique_ptr<ThreadState>> Live;
   std::vector<std::unique_ptr<ThreadState>> Retired;
-  unsigned PeakLive = 0;
+  /// Counters of the threads that have deregistered.
+  CounterTotals RetiredCounters;
   std::atomic<uint64_t> EverRegistered{0};
 };
 
