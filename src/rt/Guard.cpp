@@ -13,6 +13,7 @@
 #include "rt/Guard.h"
 
 #include "rt/Report.h"
+#include "support/NumericArg.h"
 
 #include <atomic>
 #include <csignal>
@@ -70,19 +71,6 @@ std::atomic<uint64_t> OomCountdown{0};
 std::atomic<bool> ThreadRegArmed{false};
 std::atomic<bool> LockTimeoutArmed{false};
 std::atomic<bool> EnvFaultsParsed{false};
-
-bool parseCount(const std::string &Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Value = Value * 10 + static_cast<unsigned>(C - '0');
-  }
-  Out = Value;
-  return true;
-}
 } // namespace
 
 bool guard::parseFaults(const char *Spec, FaultConfig &Out,
@@ -129,14 +117,14 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("oom")) {
-      if (!parseCount(A, Out.OomAtAlloc) || Out.OomAtAlloc == 0) {
+      if (!parseUnsigned(A, Out.OomAtAlloc) || Out.OomAtAlloc == 0) {
         Error = "oom:N needs a positive allocation index: '" + Tok + "'";
         return false;
       }
       continue;
     }
     if (const char *A = Arg("torn-write")) {
-      if (!parseCount(A, Out.TornWriteBytes)) {
+      if (!parseUnsigned(A, Out.TornWriteBytes)) {
         Error = "torn-write:K needs a byte count: '" + Tok + "'";
         return false;
       }
@@ -144,21 +132,22 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("crash")) {
-      if (!parseCount(A, Out.CrashAtStep) || Out.CrashAtStep == 0) {
+      if (!parseUnsigned(A, Out.CrashAtStep) || Out.CrashAtStep == 0) {
         Error = "crash:N needs a positive step index: '" + Tok + "'";
         return false;
       }
       continue;
     }
     if (const char *A = Arg("conn-reset")) {
-      if (!parseCount(A, Out.ConnResetEvery) || Out.ConnResetEvery == 0) {
+      if (!parseUnsigned(A, Out.ConnResetEvery) ||
+          Out.ConnResetEvery == 0) {
         Error = "conn-reset:N needs a positive submit period: '" + Tok + "'";
         return false;
       }
       continue;
     }
     if (const char *A = Arg("slow-peer")) {
-      if (!parseCount(A, Out.SlowPeerMicros) || Out.SlowPeerMicros == 0 ||
+      if (!parseUnsigned(A, Out.SlowPeerMicros) || Out.SlowPeerMicros == 0 ||
           Out.SlowPeerMicros > 1000000) {
         Error = "slow-peer:U needs a delay in 1..1000000 us: '" + Tok + "'";
         return false;
@@ -166,7 +155,7 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("worker-stall")) {
-      if (!parseCount(A, Out.WorkerStallMillis) ||
+      if (!parseUnsigned(A, Out.WorkerStallMillis) ||
           Out.WorkerStallMillis == 0 || Out.WorkerStallMillis > 10000) {
         Error = "worker-stall:M needs a stall in 1..10000 ms: '" + Tok + "'";
         return false;
@@ -174,7 +163,8 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("worker-crash")) {
-      if (!parseCount(A, Out.WorkerCrashAfter) || Out.WorkerCrashAfter == 0) {
+      if (!parseUnsigned(A, Out.WorkerCrashAfter) ||
+          Out.WorkerCrashAfter == 0) {
         Error =
             "worker-crash:K needs a positive request count: '" + Tok + "'";
         return false;
@@ -182,7 +172,7 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("logger-wedge")) {
-      if (!parseCount(A, Out.LoggerWedgeMillis) ||
+      if (!parseUnsigned(A, Out.LoggerWedgeMillis) ||
           Out.LoggerWedgeMillis == 0 || Out.LoggerWedgeMillis > 10000) {
         Error = "logger-wedge:M needs a wedge in 1..10000 ms: '" + Tok + "'";
         return false;

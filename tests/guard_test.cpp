@@ -147,6 +147,11 @@ TEST(GuardFaultTest, ParseRejectsMalformedServeFaults) {
   EXPECT_FALSE(guard::parseFaults("worker-stall:20000", F, Error));
   EXPECT_FALSE(guard::parseFaults("logger-wedge:x", F, Error));
   EXPECT_FALSE(guard::parseFaults("worker-crash:0", F, Error));
+  // Counts past 2^64 are rejected, not wrapped into range (2^64 + 1 us
+  // and 2^64 + 10 ms).
+  EXPECT_FALSE(guard::parseFaults("slow-peer:18446744073709551617", F, Error));
+  EXPECT_FALSE(
+      guard::parseFaults("worker-stall:18446744073709551626", F, Error));
 }
 
 TEST(GuardFaultTest, ParseRejectsMalformed) {
@@ -158,6 +163,8 @@ TEST(GuardFaultTest, ParseRejectsMalformed) {
   EXPECT_FALSE(guard::parseFaults("oom:0", F, Error));
   EXPECT_FALSE(guard::parseFaults("crash:0", F, Error));
   EXPECT_FALSE(guard::parseFaults("torn-write:", F, Error));
+  // 2^64 + 3 must not wrap to oom:3.
+  EXPECT_FALSE(guard::parseFaults("oom:18446744073709551619", F, Error));
   EXPECT_FALSE(guard::parseFaults("oom:1,,crash:2", F, Error));
   EXPECT_NE(Error.find("empty"), std::string::npos);
 }
