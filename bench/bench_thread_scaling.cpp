@@ -92,6 +92,7 @@ int main(int Argc, char **Argv) {
     Report.metric("shadow_bytes", Width);
     Report.metric("max_threads", 8 * Width - 1);
     Report.metric("mchecks_per_sec", Mops);
+    Report.metric("check_ns", 1e3 / Mops);
   }
 
   std::printf("\nconcurrent shared readers (width sized to fit), aggregate "
@@ -105,6 +106,9 @@ int main(int Argc, char **Argv) {
     Report.metric("threads", Threads);
     Report.metric("shadow_bytes", Width);
     Report.metric("mchecks_per_sec_total", Mops);
+    // Wall time per check, all threads together: the time compare-runs
+    // trends, where lower is better.
+    Report.metric("check_ns", 1e3 / Mops);
   }
 
   std::printf("\nwidening the shadow word multiplies supported threads by "

@@ -552,7 +552,8 @@ bool loadBenchRows(const char *Path, BenchRows &Out) {
 
 /// The timing metric a row is compared on: cpu_ns for google-benchmark
 /// harnesses, falling back to real_ns, then to the first metric whose
-/// name suggests a duration.
+/// name suggests a duration. A rate (mchecks_per_sec) is not a duration:
+/// higher is better there.
 const double *timingMetric(
     const std::vector<std::pair<std::string, double>> &Metrics,
     std::string &Name) {
@@ -563,9 +564,10 @@ const double *timingMetric(
         return &Value;
       }
   for (const auto &[Key, Value] : Metrics)
-    if (Key.find("_ns") != std::string::npos ||
-        Key.find("_sec") != std::string::npos ||
-        Key.find("seconds") != std::string::npos) {
+    if (Key.find("per_sec") == std::string::npos &&
+        (Key.find("_ns") != std::string::npos ||
+         Key.find("_sec") != std::string::npos ||
+         Key.find("seconds") != std::string::npos)) {
       Name = Key;
       return &Value;
     }

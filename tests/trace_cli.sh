@@ -121,6 +121,37 @@ fi
 expect_exit 0 "compare-runs passes at --max-pct 150" \
   "$TRACE" compare-runs "$WORK/hist" --max-pct 150
 
+# --- compare-runs: a rate is not a time ---
+# bench_thread_scaling rows carry a rate (mchecks_per_sec_total, higher
+# is better) and a wall time per check (check_ns). A tenfold throughput
+# gain must not read as a regression; the same two runs in the other
+# order must.
+rate_archive() { # <dir> <rev> <unix-time> <mchecks/s> <check-ns>
+  mkdir -p "$1"
+  cat > "$1/$2-0.json" <<EOF
+{"schema":"sharc-bench-v1","bench":"bench_thread_scaling","scale":1,"reps":1,
+ "host":{"cpus":4,"compiler":"gcc","build":"release","git_rev":"$2","unix_time":$3},
+ "rows":[{"name":"threads-4","metrics":{"threads":4,"shadow_bytes":1,"mchecks_per_sec_total":$4,"check_ns":$5}}]}
+EOF
+}
+rate_archive "$WORK/faster" aaa 100 19.0 52.6
+rate_archive "$WORK/faster" bbb 200 188.0 5.32
+"$TRACE" compare-runs "$WORK/faster" --max-pct 25 > "$WORK/faster.txt" 2>&1
+if [ $? -eq 0 ] && ! grep -q REGRESSION "$WORK/faster.txt"; then
+  echo "ok: compare-runs reads a higher rate as a gain"
+else
+  fail "compare-runs flagged a throughput gain as a regression"
+fi
+rate_archive "$WORK/slower" aaa 200 19.0 52.6
+rate_archive "$WORK/slower" bbb 100 188.0 5.32
+"$TRACE" compare-runs "$WORK/slower" --max-pct 25 > "$WORK/slower.txt" 2>&1
+if [ $? -eq 1 ] && grep -q "FAIL.*bench_thread_scaling/threads-4" \
+     "$WORK/slower.txt"; then
+  echo "ok: compare-runs fails on a throughput drop"
+else
+  fail "compare-runs missed a tenfold throughput drop"
+fi
+
 # --- sharc-trace usage contract ---
 expect_exit 0 "sharc-trace --help" "$TRACE" --help
 expect_exit 2 "sharc-trace no arguments" "$TRACE"
