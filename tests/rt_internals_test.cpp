@@ -10,7 +10,8 @@
 /// table, the open-addressing count table under stress, report
 /// formatting/dedup, the deferred-free heap, and concurrent shadow
 /// memory properties, including reports that read another thread's access
-/// log while it appends.
+/// log while it appends, and stats snapshots taken while the counted
+/// threads run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -560,6 +561,100 @@ TEST(ShadowPropertyTest, OnlyRetainedReportsScanTheLog) {
   }
   RT.deallocate(Buf);
   RT.deallocate(Flag);
+}
+
+//===----------------------------------------------------------------------===//
+// The stats fold: snapshots taken while the counted threads run
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Discards everything; profiling needs a sink to be armed.
+class NullSink final : public obs::Sink {
+public:
+  void event(const obs::Event &) override {}
+};
+} // namespace
+
+TEST(StatsFoldTest, ProfiledLockCountsFoldWhilePolled) {
+  // Three threads nest up to 64 profiled locks while a fourth polls
+  // getStats(). The snapshot must not read the lock holders' state, and
+  // once they have retired the profiled lock counts must be exact.
+  constexpr unsigned NumThreads = 3, Rounds = 200, Depth = 64;
+  NullSink Null;
+  RuntimeConfig Config;
+  Config.Profile = true;
+  Config.Obs = &Null;
+  RuntimeGuard Guard(Config);
+  Runtime &RT = Runtime::get();
+  std::atomic<bool> Done{false};
+  Thread Poller([&] {
+    while (!Done.load())
+      (void)RT.getStats();
+  });
+  {
+    std::vector<Thread> Threads;
+    for (unsigned T = 0; T != NumThreads; ++T)
+      Threads.emplace_back([&] {
+        int Locks[Depth];
+        for (unsigned R = 0; R != Rounds; ++R) {
+          for (unsigned D = 0; D != Depth; ++D)
+            RT.onLockAcquireProfiled(&Locks[D], nullptr, /*WaitCycles=*/D,
+                                     /*Contended=*/D % 4 == 0);
+          for (unsigned D = Depth; D-- != 0;)
+            RT.onLockRelease(&Locks[D]);
+        }
+      });
+    for (Thread &T : Threads)
+      T.join();
+  }
+  Done.store(true);
+  Poller.join();
+  live::LiveSnapshot S = RT.liveSnapshot();
+  EXPECT_EQ(S.LockAcquires, uint64_t(NumThreads) * Rounds * Depth);
+  EXPECT_EQ(S.LockContended, uint64_t(NumThreads) * Rounds * Depth / 4);
+  EXPECT_EQ(S.LockWaitUnits,
+            uint64_t(NumThreads) * Rounds * (Depth * (Depth - 1) / 2));
+}
+
+TEST(StatsFoldTest, CheckCountsFoldWhileLivePolled) {
+  // Two threads race checkWrite over the same 256 granules under the
+  // continue policy, so most writes also file a violation, while a third
+  // polls liveSnapshot(). Every poll sees counts that only grow, and
+  // after the writers retire the totals are exact.
+  constexpr unsigned NumGranules = 256, Calls = 20000;
+  RuntimeConfig Config;
+  Config.Guard.OnViolation = guard::Policy::Continue;
+  RuntimeGuard Guard(Config);
+  Runtime &RT = Runtime::get();
+  char *Buf = static_cast<char *>(RT.allocate(NumGranules * 16));
+  std::atomic<bool> Done{false};
+  Thread Poller([&] {
+    live::LiveSnapshot Last;
+    while (!Done.load()) {
+      live::LiveSnapshot S = RT.liveSnapshot();
+      EXPECT_GE(S.Stats.DynamicWrites, Last.Stats.DynamicWrites);
+      EXPECT_GE(S.TotalViolations, Last.TotalViolations);
+      Last = S;
+    }
+  });
+  {
+    std::vector<Thread> Writers;
+    for (unsigned T = 0; T != 2; ++T)
+      Writers.emplace_back([&] {
+        for (unsigned I = 0; I != Calls; ++I)
+          RT.checkWrite(Buf + 16 * (I % NumGranules), 1, nullptr);
+      });
+    for (Thread &T : Writers)
+      T.join();
+  }
+  Done.store(true);
+  Poller.join();
+  live::LiveSnapshot S = RT.liveSnapshot();
+  EXPECT_EQ(S.Stats.DynamicWrites, 2u * Calls);
+  EXPECT_EQ(S.Stats.DynamicWriteBytes, 2u * Calls);
+  EXPECT_EQ(S.Stats.ReadConflicts, 0u);
+  EXPECT_EQ(S.Stats.WriteConflicts, S.TotalViolations);
+  RT.deallocate(Buf);
 }
 
 TEST(AbortModeTest, ConfigurableButOffByDefault) {
