@@ -8,7 +8,9 @@
 // shadow check fast path (bits already set) and cold path, lock-log
 // lookup, counted stores under each engine, sharing casts (which under
 // Levanoni-Petrank include a collection), and thread-exit clearing via
-// the first-access log.
+// the first-access log. The fast-path rows also run on 4 threads
+// (.../threads:4): a read of one shared granule, and writes, lock checks
+// and counted stores on each thread's own granule, lock set or slot.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -93,6 +96,48 @@ void BM_ChkWriteHit(benchmark::State &State) {
 }
 BENCHMARK(BM_ChkWriteHit);
 
+/// The multi-threaded rows below share one runtime per benchmark run:
+/// Setup creates it before the run's threads start and Teardown destroys
+/// it after they stop. Each benchmark thread registers itself for the run.
+std::optional<RuntimeScope> RunScope;
+int *SharedCell = nullptr;
+
+void setUpRun(const benchmark::State &) {
+  RunScope.emplace();
+  SharedCell = static_cast<int *>(rt::Runtime::get().allocate(64));
+}
+
+void tearDownRun(const benchmark::State &) {
+  rt::Runtime::get().deallocate(SharedCell);
+  RunScope.reset();
+}
+
+/// Registers \p Bench on 4 threads, one runtime per run.
+void onFourThreads(benchmark::internal::Benchmark *Bench) {
+  Bench->Threads(4)->Setup(setUpRun)->Teardown(tearDownRun);
+}
+
+void BM_ChkReadHitShared(benchmark::State &State) {
+  // Every thread reads the one granule: a read-shared fast path.
+  rt::ScopedThreadRegistration Registration;
+  rt::Runtime &RT = rt::Runtime::get();
+  RT.checkRead(SharedCell, 4, nullptr);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(RT.checkRead(SharedCell, 4, nullptr));
+}
+BENCHMARK(BM_ChkReadHitShared)->Apply(onFourThreads);
+
+void BM_ChkWriteHitOwn(benchmark::State &State) {
+  rt::ScopedThreadRegistration Registration;
+  rt::Runtime &RT = rt::Runtime::get();
+  int *P = static_cast<int *>(RT.allocate(64));
+  RT.checkWrite(P, 4, nullptr);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(RT.checkWrite(P, 4, nullptr));
+  RT.deallocate(P);
+}
+BENCHMARK(BM_ChkWriteHitOwn)->Apply(onFourThreads);
+
 void BM_ChkReadColdGranules(benchmark::State &State) {
   RuntimeScope Scope;
   rt::Runtime &RT = rt::Runtime::get();
@@ -134,6 +179,22 @@ void BM_LockLogCheck(benchmark::State &State) {
 }
 BENCHMARK(BM_LockLogCheck);
 
+void BM_LockLogCheckOwn(benchmark::State &State) {
+  rt::ScopedThreadRegistration Registration;
+  Mutex M1, M2, M3;
+  M1.lock();
+  M2.lock();
+  M3.lock();
+  int Data = 0;
+  rt::Runtime &RT = rt::Runtime::get();
+  for (auto _ : State)
+    benchmark::DoNotOptimize(RT.checkLockHeld(&M2, &Data, nullptr));
+  M3.unlock();
+  M2.unlock();
+  M1.unlock();
+}
+BENCHMARK(BM_LockLogCheckOwn)->Apply(onFourThreads);
+
 void BM_CountedStoreLp(benchmark::State &State) {
   RuntimeScope Scope(rt::RcMode::LevanoniPetrank);
   rt::Runtime &RT = rt::Runtime::get();
@@ -146,6 +207,19 @@ void BM_CountedStoreLp(benchmark::State &State) {
   RT.deallocate(Obj);
 }
 BENCHMARK(BM_CountedStoreLp);
+
+void BM_CountedStoreLpOwn(benchmark::State &State) {
+  rt::ScopedThreadRegistration Registration;
+  rt::Runtime &RT = rt::Runtime::get();
+  void *Obj = RT.allocate(64);
+  void *Slot = nullptr;
+  RT.rcInitSlot(&Slot);
+  for (auto _ : State)
+    RT.rcStore(&Slot, Obj);
+  RT.rcStore(&Slot, nullptr);
+  RT.deallocate(Obj);
+}
+BENCHMARK(BM_CountedStoreLpOwn)->Apply(onFourThreads);
 
 void BM_CountedStoreAtomic(benchmark::State &State) {
   RuntimeScope Scope(rt::RcMode::Atomic);
