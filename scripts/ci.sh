@@ -32,10 +32,12 @@ echo "== fault-injection sweep =="
 
 echo "== sanitizers =="
 # ASan+UBSan and TSan builds of the tests that cover the race detectors,
-# the fuzz oracles, the parser and the runtime's concurrent internals.
-# Any sanitizer report fails the run. The rest of the suite stays out of
-# these lanes for now: serve_test's timing-sensitive cases fail under
-# the sanitizers' slowdown without any report.
+# the fuzz oracles, the parser, and the runtime: its concurrent internals
+# (including stats snapshots taken while threads count), the facade,
+# profiling, reader-writer locks and the stats endpoint. Any sanitizer
+# report fails the run. The rest of the suite stays out of these lanes
+# for now: serve_test's timing-sensitive cases fail under the
+# sanitizers' slowdown without any report.
 export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export TSAN_OPTIONS=halt_on_error=1
@@ -53,9 +55,11 @@ san_lane() { # <build-dir> <cxx-flags> <test...>
 ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 san_lane "$BUILD/asan" \
   "$ASAN_FLAGS -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
-  racedet_test fuzz_test minic_parser_test rt_shadow_test
+  racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
+  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
-  racedet_test fuzz_test rt_internals_test rt_shadow_test
+  racedet_test fuzz_test rt_internals_test rt_shadow_test \
+  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test
 
 echo "== fuzz smoke =="
 "$BUILD/src/fuzz/sharc-fuzz" --count 100 --schedules 4 --seed 1 --quiet
@@ -69,6 +73,14 @@ SHARC_BENCH_SCALE=1 SHARC_BENCH_REPS=1 \
   "$BUILD/bench/bench_table1" --json="$ROOT/BENCH_table1.json" >/dev/null \
   || true # non-clean rows exit 1 but still write the report
 "$BUILD/src/obs/sharc-trace" check-bench "$ROOT/BENCH_table1.json"
+
+echo "== thread scaling bench =="
+# Section 7's scaling concern: check throughput per shadow width and the
+# aggregate of 1-14 concurrent readers. Each row also reports check_ns,
+# the wall time per check, which compare-runs trends below.
+SHARC_BENCH_SCALE=1 "$BUILD/bench/bench_thread_scaling" \
+  --json="$BUILD/bench_thread_scaling.json" >/dev/null
+"$BUILD/src/obs/sharc-trace" check-bench "$BUILD/bench_thread_scaling.json"
 
 echo "== serve bench -> BENCH_serve.json =="
 # The high-traffic scenario (DESIGN.md §15): 100k simulated client
@@ -338,6 +350,12 @@ cp "$ROOT/BENCH_serve_spans.json" "$HIST/$SHARC_GIT_REV-serve-spans-$N.json"
 N=0
 while [ -e "$HIST/$SHARC_GIT_REV-serve-storm-$N.json" ]; do N=$((N + 1)); done
 cp "$ROOT/BENCH_serve_storm.json" "$HIST/$SHARC_GIT_REV-serve-storm-$N.json"
+# ...and the thread-scaling report, so the per-check time at each
+# thread count is trended across revisions.
+N=0
+while [ -e "$HIST/$SHARC_GIT_REV-thread-scaling-$N.json" ]; do N=$((N + 1)); done
+cp "$BUILD/bench_thread_scaling.json" \
+  "$HIST/$SHARC_GIT_REV-thread-scaling-$N.json"
 "$BUILD/src/obs/sharc-trace" compare-runs "$HIST" --max-pct 25 \
   || echo "ci.sh: WARNING: compare-runs flagged a regression (soft gate)"
 
