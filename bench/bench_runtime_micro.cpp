@@ -208,15 +208,20 @@ void BM_CountedStoreLp(benchmark::State &State) {
 }
 BENCHMARK(BM_CountedStoreLp);
 
+/// One counted slot per thread, a cache line apart, so the four slots
+/// fall in distinct DirtyTable shards. Slots on the threads' stacks often
+/// share one shard, and then every store contends for its mutex.
+alignas(64) void *OwnSlots[4][8];
+
 void BM_CountedStoreLpOwn(benchmark::State &State) {
   rt::ScopedThreadRegistration Registration;
   rt::Runtime &RT = rt::Runtime::get();
   void *Obj = RT.allocate(64);
-  void *Slot = nullptr;
-  RT.rcInitSlot(&Slot);
+  void **Slot = &OwnSlots[State.thread_index()][0];
+  RT.rcInitSlot(Slot);
   for (auto _ : State)
-    RT.rcStore(&Slot, Obj);
-  RT.rcStore(&Slot, nullptr);
+    RT.rcStore(Slot, Obj);
+  RT.rcStore(Slot, nullptr);
   RT.deallocate(Obj);
 }
 BENCHMARK(BM_CountedStoreLpOwn)->Apply(onFourThreads);
