@@ -577,8 +577,8 @@ public:
 
 TEST(StatsFoldTest, ProfiledLockCountsFoldWhilePolled) {
   // Three threads nest up to 64 profiled locks while a fourth polls
-  // getStats(). The snapshot must not read the lock holders' state, and
-  // once they have retired the profiled lock counts must be exact.
+  // getStats(). The snapshot must not read the lock holders' vectors,
+  // and once they have retired the profiled lock counts must be exact.
   constexpr unsigned NumThreads = 3, Rounds = 200, Depth = 64;
   NullSink Null;
   RuntimeConfig Config;
@@ -618,9 +618,9 @@ TEST(StatsFoldTest, ProfiledLockCountsFoldWhilePolled) {
 
 TEST(StatsFoldTest, CheckCountsFoldWhileLivePolled) {
   // Two threads race checkWrite over the same 256 granules under the
-  // continue policy, so most writes also file a violation, while a third
-  // polls liveSnapshot(). Every poll sees counts that only grow, and
-  // after the writers retire the totals are exact.
+  // continue policy, so their writes conflict and file violations, while
+  // a third polls liveSnapshot(). Every poll sees counts that only grow,
+  // and after the writers retire the totals are exact.
   constexpr unsigned NumGranules = 256, Calls = 20000;
   RuntimeConfig Config;
   Config.Guard.OnViolation = guard::Policy::Continue;
