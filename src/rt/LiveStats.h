@@ -56,8 +56,8 @@ struct LiveSnapshot {
 
   /// Lock wait/hold aggregates. Units are TSC cycles for the native
   /// runtime and scheduler steps for the interpreter; populated when
-  /// profiling is armed, zero otherwise (the native runtime aggregates
-  /// hold time only at thread retire, so its live hold view lags).
+  /// profiling is armed, zero otherwise. The native runtime adds each
+  /// hold to the releasing thread's counters as the hold ends.
   uint64_t LockAcquires = 0;
   uint64_t LockContended = 0;
   uint64_t LockWaitUnits = 0;
