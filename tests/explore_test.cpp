@@ -15,6 +15,7 @@
 
 #include "analysis/SharingAnalysis.h"
 #include "checker/Checker.h"
+#include "fuzz/ProgramGen.h"
 #include "interp/Explore.h"
 #include "interp/Interp.h"
 #include "interp/Schedule.h"
@@ -22,6 +23,8 @@
 #include "minic/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace sharc;
 using namespace sharc::minic;
@@ -208,6 +211,37 @@ const char *TwoIndependentWorkers = "void w(void) { }\n"
                                     "  spawn w();\n"
                                     "}\n";
 
+// Main reads g and then writes it. Where the worker's read comes first,
+// the write's most recent conflicting step by another thread is that
+// read, which lies behind main's own later read of g; read/read is no
+// conflict, so only the write can seed the backtrack point there.
+const char *ConflictBehindOwnAccess = "int g;\n"
+                                      "void w(void) {\n"
+                                      "  int x;\n"
+                                      "  x = g;\n"
+                                      "}\n"
+                                      "void main(void) {\n"
+                                      "  int y;\n"
+                                      "  spawn w();\n"
+                                      "  y = g;\n"
+                                      "  g = 1;\n"
+                                      "}\n";
+
+// The worker writes a cell main never touches; main's sharing cast
+// scans the heap for other references, which depends on every write.
+// That is the only dependence between the two threads.
+const char *ScanAgainstUnrelatedWrite = "int h;\n"
+                                        "void w(void) {\n"
+                                        "  h = 1;\n"
+                                        "}\n"
+                                        "void main(void) {\n"
+                                        "  int dynamic * p;\n"
+                                        "  int readonly * r;\n"
+                                        "  p = new int;\n"
+                                        "  spawn w();\n"
+                                        "  r = SCAST(int readonly *, p);\n"
+                                        "}\n";
+
 //===----------------------------------------------------------------------===//
 // Verdict sets across ALL interleavings
 //===----------------------------------------------------------------------===//
@@ -348,6 +382,64 @@ TEST(ExploreCountTest, RacingWritesExactDporCount) {
   // Pinned: a regression in the backtrack-set or sleep-set logic moves
   // this number before it breaks a verdict.
   EXPECT_EQ(Dpor.Stats.Runs, 6u);
+}
+
+TEST(ExploreCountTest, ConflictBehindOwnLaterAccessExactDporCount) {
+  auto C = compile(ConflictBehindOwnAccess);
+  ASSERT_TRUE(C->Ok) << C->Diags->render();
+  ExploreResult Dpor = exploreSrc(*C, ExploreOptions());
+  ASSERT_TRUE(Dpor.complete());
+  EXPECT_EQ(Dpor.Stats.Runs, 7u);
+}
+
+TEST(ExploreCountTest, ScanAgainstUnrelatedWriteExactDporCount) {
+  auto C = compile(ScanAgainstUnrelatedWrite);
+  ASSERT_TRUE(C->Ok) << C->Diags->render();
+  ExploreResult Dpor = exploreSrc(*C, ExploreOptions());
+  ASSERT_TRUE(Dpor.complete());
+  EXPECT_EQ(Dpor.Stats.Runs, 3u);
+  ASSERT_EQ(Dpor.Verdicts.size(), 1u) << verdictList(Dpor);
+  EXPECT_TRUE(Dpor.Verdicts.front().clean());
+}
+
+// 200 small generated programs under perfbench's `explore` budgets. The
+// sums, the deepest schedule and the digest of every program's verdict
+// classes pin the whole exploration, so any change to which schedules
+// DPOR runs shows here even where no single litmus count moves.
+TEST(ExploreCountTest, GeneratedCorpusCountsArePinned) {
+  ExploreOptions O;
+  O.MaxRuns = 64;
+  O.MaxStepsPerRun = 512;
+  O.MaxTotalSteps = 4096;
+  ExploreStats Sum;
+  uint64_t Explored = 0, Digest = 14695981039346656037ull; // FNV-1a
+  auto Mix = [&](const std::string &S) {
+    for (unsigned char Ch : S + ';')
+      Digest = (Digest ^ Ch) * 1099511628211ull;
+  };
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    auto C = compile(fuzz::generateProgram(Seed, fuzz::GenSize::Small));
+    Mix(std::to_string(Seed));
+    if (!C->Ok)
+      continue;
+    ExploreResult R = exploreSrc(*C, O);
+    ++Explored;
+    Sum.Runs += R.Stats.Runs;
+    Sum.SleepBlocked += R.Stats.SleepBlocked;
+    Sum.BoundedRuns += R.Stats.BoundedRuns;
+    Sum.BranchesPruned += R.Stats.BranchesPruned;
+    Sum.StepsTotal += R.Stats.StepsTotal;
+    Sum.MaxDepth = std::max(Sum.MaxDepth, R.Stats.MaxDepth);
+    Mix(verdictList(R) + (R.complete() ? "+complete" : ""));
+  }
+  EXPECT_EQ(Explored, 200u);
+  EXPECT_EQ(Sum.Runs, 2170u);
+  EXPECT_EQ(Sum.SleepBlocked, 192u);
+  EXPECT_EQ(Sum.BoundedRuns, 0u);
+  EXPECT_EQ(Sum.BranchesPruned, 38053u);
+  EXPECT_EQ(Sum.StepsTotal, 259360u);
+  EXPECT_EQ(Sum.MaxDepth, 512u);
+  EXPECT_EQ(Digest, 8521226450469734832ull);
 }
 
 //===----------------------------------------------------------------------===//
