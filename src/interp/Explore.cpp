@@ -26,8 +26,10 @@
 #include "interp/Explore.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
+#include <unordered_map>
 
 using namespace sharc;
 using namespace sharc::interp;
@@ -141,6 +143,32 @@ size_t indexOf(const std::vector<unsigned> &V, unsigned X) {
   return static_cast<size_t>(std::find(V.begin(), V.end(), X) - V.begin());
 }
 
+bool asleep(const Node &N, unsigned Tid) {
+  return std::any_of(N.Sleep.begin(), N.Sleep.end(),
+                     [Tid](const auto &S) { return S.first == Tid; });
+}
+
+/// Node number of no step.
+constexpr int NoStep = -1;
+
+/// The latest step with some property (one kind of access to one
+/// resource), and the latest such step by a thread other than that
+/// step's. Together they answer "the latest such step by any thread but
+/// T" for every T.
+struct LastSteps {
+  int Last = NoStep, LastOther = NoStep; ///< Node numbers.
+  unsigned LastTid = 0;                  ///< The pick of Last.
+
+  int before(unsigned Tid) const { return LastTid != Tid ? Last : LastOther; }
+  void add(int Step, unsigned Tid) {
+    if (LastTid != Tid) {
+      LastOther = Last;
+      LastTid = Tid;
+    }
+    Last = Step;
+  }
+};
+
 class ExploreSchedule : public Schedule {
 public:
   enum class EndReason : uint8_t { None, Sleep, Bound, Diverged };
@@ -184,7 +212,6 @@ public:
   size_t choose(const ChoicePoint &CP) override {
     if (End != EndReason::None)
       return Abort;
-    std::vector<unsigned> Opt(CP.Options, CP.Options + CP.NumOptions);
     if (CP.Kind == ChoiceKind::ThreadPick)
       closeFootprint();
 
@@ -194,7 +221,9 @@ public:
       // node saw last run — anything else is an interpreter
       // determinism bug and poisons every conclusion.
       Node &N = Nodes[Depth];
-      if (N.Kind != CP.Kind || N.Enabled != Opt) {
+      if (N.Kind != CP.Kind ||
+          !std::equal(N.Enabled.begin(), N.Enabled.end(), CP.Options,
+                      CP.Options + CP.NumOptions)) {
         Stats.InternalError = true;
         End = EndReason::Diverged;
         return Abort;
@@ -212,7 +241,7 @@ public:
     Nodes.emplace_back();
     Node &N = Nodes.back();
     N.Kind = CP.Kind;
-    N.Enabled = std::move(Opt);
+    N.Enabled.assign(CP.Options, CP.Options + CP.NumOptions);
 
     if (CP.Kind == ChoiceKind::CondSignalPick) {
       // Wake-up order is enumerated exhaustively (waiter lists are
@@ -236,13 +265,10 @@ public:
           N.Sleep.push_back({Tid, Fp});
     }
 
-    std::set<unsigned> SleepTids;
-    for (const auto &[Tid, Fp] : N.Sleep)
-      SleepTids.insert(Tid);
     bool AnyAwake = false, Found = false;
     unsigned Chosen = 0;
     for (unsigned T : N.Enabled) {
-      if (SleepTids.count(T))
+      if (asleep(N, T))
         continue;
       AnyAwake = true;
       if (N.PreemptionsBefore + preemptCost(N, T) > Opts.PreemptionBound) {
@@ -275,25 +301,53 @@ public:
   /// with and make sure this thread gets (or the whole enabled set
   /// gets) explored there. Convergence over re-executions yields the
   /// full persistent-set exploration.
+  ///
+  /// One forward pass finds those steps from the latest accessors of
+  /// each resource, so the cost is linear in the run's footprint. A
+  /// step may query a slot after adding itself to it: add() by the
+  /// querying thread leaves what before() returns for it unchanged.
   void dporUpdate() {
-    std::vector<size_t> TPs;
-    for (size_t I = 0; I != Nodes.size(); ++I)
-      if (Nodes[I].Kind == ChoiceKind::ThreadPick)
-        TPs.push_back(I);
-    for (size_t II = 1; II < TPs.size(); ++II) {
-      Node &NI = Nodes[TPs[II]];
-      for (size_t JJ = II; JJ-- > 0;) {
-        Node &NJ = Nodes[TPs[JJ]];
-        if (NJ.Pick == NI.Pick)
+    Index.clear();
+    LastSteps Scan, AnyWrite;
+    for (size_t I = 0; I != Nodes.size(); ++I) {
+      Node &NI = Nodes[I];
+      if (NI.Kind != ChoiceKind::ThreadPick)
+        continue;
+      int Step = static_cast<int>(I);
+      unsigned T = NI.Pick;
+      int Dep = NoStep;
+      bool Writes = false, Scans = false;
+      for (const FpItem &F : NI.Fp) {
+        if (F.Kind == 4) {
+          Scans = true;
           continue;
-        if (!conflict(NJ.Fp, NI.Fp))
-          continue;
-        if (contains(NJ.Enabled, NI.Pick))
-          NJ.Backtrack.insert(NI.Pick);
-        else
-          NJ.Backtrack.insert(NJ.Enabled.begin(), NJ.Enabled.end());
-        break; // most recent conflicting step only
+        }
+        // Reads conflict with writes, writes with reads and writes, and
+        // lock and cond operations with their own kind.
+        std::array<LastSteps, 4> &ByKind = Index[F.A];
+        Dep = std::max(Dep, ByKind[F.Kind == 0 ? 1 : F.Kind].before(T));
+        if (F.Kind == 1) {
+          Dep = std::max(Dep, ByKind[0].before(T));
+          Writes = true;
+        }
+        ByKind[F.Kind].add(Step, T);
       }
+      // A heap scan depends on every write.
+      if (Writes) {
+        Dep = std::max(Dep, Scan.before(T));
+        AnyWrite.add(Step, T);
+      }
+      if (Scans) {
+        Dep = std::max(Dep, AnyWrite.before(T));
+        Scan.add(Step, T);
+      }
+      if (Dep == NoStep)
+        continue;
+      Node &NJ = Nodes[static_cast<size_t>(Dep)];
+      if (contains(NJ.Enabled, T))
+        NJ.Backtrack.insert(T);
+      else
+        NJ.Backtrack.insert(NJ.Enabled.begin(), NJ.Enabled.end());
     }
   }
 
@@ -305,9 +359,6 @@ public:
       N.Done.insert(N.Pick);
       if (N.Kind == ChoiceKind::ThreadPick && Opts.UseSleepSets)
         N.Sleep.push_back({N.Pick, N.Fp});
-      std::set<unsigned> SleepTids;
-      for (const auto &[Tid, Fp] : N.Sleep)
-        SleepTids.insert(Tid);
       bool Found = false;
       unsigned Next = 0;
       for (unsigned T : N.Enabled) {
@@ -316,7 +367,7 @@ public:
         if (N.Kind == ChoiceKind::ThreadPick) {
           if (Opts.UseDpor && !N.Backtrack.count(T))
             continue;
-          if (Opts.UseSleepSets && SleepTids.count(T))
+          if (Opts.UseSleepSets && asleep(N, T))
             continue;
           if (N.PreemptionsBefore + preemptCost(N, T) >
               Opts.PreemptionBound) {
@@ -419,6 +470,8 @@ private:
   int ClosedTP = -1; ///< Last node whose footprint closed (this run).
   Footprint PendingNotes;
   EndReason End = EndReason::None;
+  /// dporUpdate()'s latest steps per address, by footprint kind 0-3.
+  std::unordered_map<uint64_t, std::array<LastSteps, 4>> Index;
 };
 
 } // namespace
