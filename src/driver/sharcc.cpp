@@ -472,8 +472,25 @@ int runExplore(const DriverOptions &Options, minic::Program &Prog,
     EO.MaxStepsPerRun = Options.Interp.MaxSteps;
   EO.EntryPoint = Options.Interp.EntryPoint;
 
+  auto Start = std::chrono::steady_clock::now();
   interp::ExploreResult ER =
       interp::explore(Prog, Check.getInstrumentation(), EO);
+  obs::ExploreCounters C;
+  C.SchedulesRun = ER.Stats.Runs;
+  C.SleepPruned = ER.Stats.SleepBlocked;
+  C.BoundedRuns = ER.Stats.BoundedRuns;
+  C.DporPruned = ER.Stats.BranchesPruned;
+  C.PreemptPruned = ER.Stats.PreemptPruned;
+  C.StepsTotal = ER.Stats.StepsTotal;
+  C.MaxDepth = ER.Stats.MaxDepth;
+  C.VerdictClasses = ER.Verdicts.size();
+  C.ViolatingClasses = ER.Witnesses.size();
+  C.WallSeconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+  C.BoundHit = ER.Stats.BoundHit;
+  C.BudgetExhausted = ER.Stats.BudgetExhausted;
+  C.Complete = ER.complete();
 
   if (ER.anyViolation()) {
     std::printf("%s", ER.FirstViolation.Output.c_str());
@@ -498,19 +515,6 @@ int runExplore(const DriverOptions &Options, minic::Program &Prog,
   }
 
   if (!Options.MetricsOut.empty()) {
-    obs::ExploreCounters C;
-    C.SchedulesRun = ER.Stats.Runs;
-    C.SleepPruned = ER.Stats.SleepBlocked;
-    C.BoundedRuns = ER.Stats.BoundedRuns;
-    C.DporPruned = ER.Stats.BranchesPruned;
-    C.PreemptPruned = ER.Stats.PreemptPruned;
-    C.StepsTotal = ER.Stats.StepsTotal;
-    C.MaxDepth = ER.Stats.MaxDepth;
-    C.VerdictClasses = ER.Verdicts.size();
-    C.ViolatingClasses = ER.Witnesses.size();
-    C.BoundHit = ER.Stats.BoundHit;
-    C.BudgetExhausted = ER.Stats.BudgetExhausted;
-    C.Complete = ER.complete();
     if (!writeTextFile(Options.MetricsOut, obs::exploreToJson(C))) {
       std::fprintf(stderr, "sharcc: cannot write '%s'\n",
                    Options.MetricsOut.c_str());
@@ -528,13 +532,15 @@ int runExplore(const DriverOptions &Options, minic::Program &Prog,
     std::fprintf(
         stderr,
         "sharcc: explore: %llu schedules (%llu sleep-set cut, %llu "
-        "bound cut), %llu branches pruned, max depth %llu, %llu steps\n",
+        "bound cut), %llu branches pruned, max depth %llu, %llu steps, "
+        "%.1f schedules/s\n",
         static_cast<unsigned long long>(ER.Stats.Runs),
         static_cast<unsigned long long>(ER.Stats.SleepBlocked),
         static_cast<unsigned long long>(ER.Stats.BoundedRuns),
         static_cast<unsigned long long>(ER.Stats.BranchesPruned),
         static_cast<unsigned long long>(ER.Stats.MaxDepth),
-        static_cast<unsigned long long>(ER.Stats.StepsTotal));
+        static_cast<unsigned long long>(ER.Stats.StepsTotal),
+        obs::schedulesPerSecond(C));
     std::fprintf(stderr, "sharcc: explore: verdicts: %s\n",
                  Verdicts.empty() ? "(none)" : Verdicts.c_str());
   }

@@ -60,6 +60,11 @@ std::string statsToJson(const rt::StatsSnapshot &S) {
   return Out;
 }
 
+double schedulesPerSecond(const ExploreCounters &C) {
+  return C.WallSeconds > 0 ? static_cast<double>(C.SchedulesRun) / C.WallSeconds
+                           : 0.0;
+}
+
 void appendExploreJson(JsonWriter &W, const ExploreCounters &C) {
   W.beginObject();
   W.key("schedules_run");
@@ -80,6 +85,10 @@ void appendExploreJson(JsonWriter &W, const ExploreCounters &C) {
   W.value(C.VerdictClasses);
   W.key("violating_classes");
   W.value(C.ViolatingClasses);
+  W.key("wall_s");
+  W.value(C.WallSeconds);
+  W.key("schedules_per_s");
+  W.value(schedulesPerSecond(C));
   W.key("bound_hit");
   W.value(C.BoundHit);
   W.key("budget_exhausted");

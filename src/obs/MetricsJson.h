@@ -32,10 +32,14 @@ struct ExploreCounters {
   uint64_t MaxDepth = 0;
   uint64_t VerdictClasses = 0;
   uint64_t ViolatingClasses = 0;
+  double WallSeconds = 0;       ///< The whole search, timed by the caller.
   bool BoundHit = false;        ///< Bounded: incomplete by choice.
   bool BudgetExhausted = false; ///< Incomplete: budgets ran out.
   bool Complete = false;        ///< Every inequivalent schedule ran.
 };
+
+/// Schedules run per second of wall time; 0 when no time was recorded.
+double schedulesPerSecond(const ExploreCounters &C);
 
 /// Writes C as a JSON object value.
 void appendExploreJson(JsonWriter &W, const ExploreCounters &C);

@@ -128,6 +128,13 @@ grep -q '"schedules_run"' "$TMP/explore.json" || {
   echo "FAIL: --metrics-out missing schedules_run"
   STATUS=1
 }
+NUM='[0-9][0-9.eE+-]*'
+for KEY in wall_s schedules_per_s; do
+  grep -q "\"$KEY\":$NUM[,}]" "$TMP/explore.json" || {
+    echo "FAIL: --metrics-out missing numeric $KEY"
+    STATUS=1
+  }
+done
 echo "ok: explore metrics json"
 
 # --- usage errors --------------------------------------------------------
