@@ -6,6 +6,7 @@
 
 #include "workloads/FftwWorkload.h"
 
+#include "rt/Guard.h"
 #include "workloads/Fft.h"
 
 #include <cmath>
@@ -81,6 +82,14 @@ template <typename P> void fftWorkerBody(FftState<P> *State) {
 
 template <typename P>
 WorkloadResult sharc::workloads::runFftw(const FftwConfig &Config) {
+  // fftInPlace only asserts this, and a size of 0 or a non-power of two
+  // would loop forever or write past the job's buffer.
+  size_t Size = Config.TransformSize;
+  if (Size == 0 || (Size & (Size - 1)) != 0)
+    guard::fatalInternal(
+        "fftw: FftwConfig::TransformSize must be a non-zero power of two, "
+        "not %zu",
+        Size);
   void *StateMem = P::alloc(sizeof(FftState<P>));
   auto *State = new (StateMem) FftState<P>();
   State->TotalJobs = Config.NumTransforms;

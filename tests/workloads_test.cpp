@@ -310,6 +310,18 @@ TEST(WorkloadTest, FftwBothPoliciesAgree) {
   });
 }
 
+TEST(WorkloadDeathTest, FftwRejectsTransformSizeNotAPowerOfTwo) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (size_t Size : {size_t(0), size_t(3)}) {
+    FftwConfig Config;
+    Config.NumTransforms = 1;
+    Config.TransformSize = Size;
+    EXPECT_EXIT(runFftw<UncheckedPolicy>(Config), testing::ExitedWithCode(3),
+                "TransformSize must be a non-zero power of two")
+        << "size " << Size;
+  }
+}
+
 TEST(WorkloadTest, StunnelBothPoliciesAgree) {
   StunnelConfig Config;
   Config.MessagesPerClient = 20;
