@@ -30,14 +30,41 @@ echo "== fault-injection sweep =="
 # the policy exit codes, and the crashed-trace truncation sweep.
 (cd "$BUILD" && ctest -R guard --output-on-failure)
 
+echo "== explore shipped examples =="
+# Every shipped example must reach a verdict under a 200-schedule budget
+# within 30 s: exit 0 (clean), 1 (violation) or 4 (budget spent, no
+# violation) passes; a usage or internal error (2, 3) or a hang fails.
+SLOWEST_MS=0
+SLOWEST=
+for F in "$ROOT"/examples/minic/*.mc; do
+  NAME=$(basename "$F")
+  START=$(date +%s%N)
+  RC=0
+  timeout 30 "$BUILD/src/driver/sharcc" --explore --explore-budget 200 \
+    --quiet "$F" >/dev/null 2>&1 || RC=$?
+  MS=$(( ($(date +%s%N) - START) / 1000000 ))
+  case $RC in
+    0|1|4) ;;
+    124) echo "FAIL: explore $NAME: no verdict within 30 s"; exit 1 ;;
+    *) echo "FAIL: explore $NAME: exit $RC"; exit 1 ;;
+  esac
+  if [ "$MS" -ge "$SLOWEST_MS" ]; then
+    SLOWEST_MS=$MS
+    SLOWEST=$NAME
+  fi
+done
+echo "slowest: $SLOWEST in $SLOWEST_MS ms"
+
 echo "== sanitizers =="
 # ASan+UBSan and TSan builds of the tests that cover the race detectors,
-# the fuzz oracles, the parser, and the runtime: its concurrent internals
-# (including stats snapshots taken while threads count), the facade,
-# profiling, reader-writer locks and the stats endpoint. Any sanitizer
-# report fails the run. The rest of the suite stays out of these lanes
-# for now: serve_test's timing-sensitive cases fail under the
-# sanitizers' slowdown without any report.
+# the fuzz oracles, the parser, the interpreter and its schedule
+# explorer (whose race analysis indexes steps by node number), and the
+# runtime: its concurrent internals (including stats snapshots taken
+# while threads count), the facade, profiling, reader-writer locks and
+# the stats endpoint. Any sanitizer report fails the run. The rest of
+# the suite stays out of these lanes for now: serve_test's
+# timing-sensitive cases fail under the sanitizers' slowdown without
+# any report.
 export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export TSAN_OPTIONS=halt_on_error=1
@@ -56,10 +83,12 @@ ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 san_lane "$BUILD/asan" \
   "$ASAN_FLAGS -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
-  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test
+  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
+  interp_test explore_test
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test rt_shadow_test \
-  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test
+  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
+  interp_test explore_test
 
 echo "== fuzz smoke =="
 "$BUILD/src/fuzz/sharc-fuzz" --count 100 --schedules 4 --seed 1 --quiet
