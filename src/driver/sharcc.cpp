@@ -476,6 +476,9 @@ int runExplore(const DriverOptions &Options, minic::Program &Prog,
   interp::ExploreResult ER =
       interp::explore(Prog, Check.getInstrumentation(), EO);
   obs::ExploreCounters C;
+  C.WallSeconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
   C.SchedulesRun = ER.Stats.Runs;
   C.SleepPruned = ER.Stats.SleepBlocked;
   C.BoundedRuns = ER.Stats.BoundedRuns;
@@ -485,9 +488,6 @@ int runExplore(const DriverOptions &Options, minic::Program &Prog,
   C.MaxDepth = ER.Stats.MaxDepth;
   C.VerdictClasses = ER.Verdicts.size();
   C.ViolatingClasses = ER.Witnesses.size();
-  C.WallSeconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
   C.BoundHit = ER.Stats.BoundHit;
   C.BudgetExhausted = ER.Stats.BudgetExhausted;
   C.Complete = ER.complete();

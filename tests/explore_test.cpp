@@ -211,10 +211,11 @@ const char *TwoIndependentWorkers = "void w(void) { }\n"
                                     "  spawn w();\n"
                                     "}\n";
 
-// Main reads g and then writes it. Where the worker's read comes first,
-// the write's most recent conflicting step by another thread is that
-// read, which lies behind main's own later read of g; read/read is no
-// conflict, so only the write can seed the backtrack point there.
+// Main reads g and then writes it. Where the worker reads g before main
+// does and exits after main's write, the write's most recent conflicting
+// step by another thread is the worker's read, which lies behind main's
+// own later read of g; read/read is no conflict, so only the write can
+// seed the backtrack point there.
 const char *ConflictBehindOwnAccess = "int g;\n"
                                       "void w(void) {\n"
                                       "  int x;\n"
