@@ -60,11 +60,13 @@ echo "== sanitizers =="
 # the fuzz oracles, the parser, the interpreter and its schedule
 # explorer (whose race analysis indexes steps by node number), and the
 # runtime: its concurrent internals (including stats snapshots taken
-# while threads count), the facade, profiling, reader-writer locks and
-# the stats endpoint. Any sanitizer report fails the run. The rest of
-# the suite stays out of these lanes for now: serve_test's
-# timing-sensitive cases fail under the sanitizers' slowdown without
-# any report.
+# while threads count), the facade, profiling, reader-writer locks, the
+# stats endpoint, the guard layer, and the Table 1 workloads, each of
+# which runs the shadow and reference-count indexes on several threads.
+# Any sanitizer report fails the run. The rest of the suite stays out of
+# these lanes for now: serve_test's timing-sensitive cases fail under
+# the sanitizers' slowdown without any report, and rt_refcount_test
+# carries the LP collector's count-mismatch flake.
 export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export TSAN_OPTIONS=halt_on_error=1
@@ -84,11 +86,11 @@ san_lane "$BUILD/asan" \
   "$ASAN_FLAGS -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
-  interp_test explore_test
+  interp_test explore_test workloads_test guard_test
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test rt_shadow_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
-  interp_test explore_test
+  interp_test explore_test workloads_test guard_test
 
 echo "== fuzz smoke =="
 "$BUILD/src/fuzz/sharc-fuzz" --count 100 --schedules 4 --seed 1 --quiet

@@ -230,7 +230,6 @@ std::vector<int64_t> replayRc(rt::RcMode Mode,
                               size_t ArenaSize) {
   rt::RuntimeConfig Config;
   Config.Rc = Mode;
-  Config.RcTableCapacity = 1u << 16;
   Config.ShadowBytesPerGranule = 8; // 63 simulated threads.
   rt::ThreadRegistry Registry(Config.maxThreads());
   rt::RefCountEngine Engine(Config, Registry);

@@ -76,15 +76,74 @@ private:
   std::thread Impl;
 };
 
+namespace detail {
+
+/// The acquire path of Mutex and SharedMutex (exclusive or shared hold)
+/// while the watchdog or profiling is armed. Profiling times the acquire
+/// and attributes its wait to \p Site. The watchdog files a stall report
+/// naming the holder if the lock is not obtained within the watchdog
+/// interval, or at once under an injected lock-timeout fault, and then
+/// keeps waiting: it diagnoses hangs, it does not break them.
+template <bool Shared, typename MutexT>
+void acquireArmed(rt::Runtime &RT, MutexT &Impl, const void *Lock,
+                  const AccessSite *Site) {
+  auto TryLock = [&] {
+    if constexpr (Shared)
+      return Impl.try_lock_shared();
+    else
+      return Impl.try_lock();
+  };
+  const uint64_t WatchdogMillis = RT.watchdogMillis();
+  const bool Profiled = RT.profilingEnabled();
+  const uint64_t Start = rt::readTsc();
+  bool Stalled = WatchdogMillis != 0 && guard::faultLockTimeout();
+  bool Contended = Stalled || !TryLock();
+  if (Contended) {
+    if (Profiled)
+      RT.onLockWait(Lock, Site);
+    bool Acquired = false;
+    if (WatchdogMillis != 0 && !Stalled) {
+      auto Deadline = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(WatchdogMillis);
+      while (!(Acquired = TryLock())) {
+        if (std::chrono::steady_clock::now() >= Deadline) {
+          Stalled = true;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    if (Stalled)
+      RT.reportLockStall(Lock, Site);
+    if (!Acquired) {
+      if constexpr (Shared)
+        Impl.lock_shared();
+      else
+        Impl.lock();
+    }
+  }
+  if (WatchdogMillis != 0 && !Shared)
+    RT.noteLockHolder(Lock, Site);
+  const uint64_t WaitCycles = Contended ? rt::readTsc() - Start : 0;
+  if constexpr (Shared) {
+    if (Profiled)
+      RT.onSharedLockAcquireProfiled(Lock, Site, WaitCycles, Contended);
+    else
+      RT.onSharedLockAcquire(Lock);
+  } else {
+    if (Profiled)
+      RT.onLockAcquireProfiled(Lock, Site, WaitCycles, Contended);
+    else
+      RT.onLockAcquire(Lock);
+  }
+}
+
+} // namespace detail
+
 /// Mutex whose acquire/release maintain the per-thread lock log the
-/// locked-mode check consults (Section 4.2.2). When profiling is on,
-/// acquires go through a timed path that measures wait cycles and
-/// attributes them to the acquiring site (or the declaration site).
-/// When the guard watchdog is armed (GuardConfig::WatchdogMillis or
-/// SHARC_WATCHDOG_MS), acquires go through a timed path that reports a
-/// stall -- naming the holder -- if the lock is not obtained within the
-/// watchdog interval, then keep waiting (the watchdog diagnoses hangs,
-/// it does not break them).
+/// locked-mode check consults (Section 4.2.2). When profiling is on or
+/// the guard watchdog is armed (GuardConfig::WatchdogMillis or
+/// SHARC_WATCHDOG_MS), acquires go through detail::acquireArmed.
 class Mutex {
 public:
   Mutex() = default;
@@ -94,12 +153,8 @@ public:
 
   void lock(const AccessSite *Site = nullptr) {
     rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]] {
-      lockGuarded(RT, Site);
-      return;
-    }
-    if (RT.profilingEnabled()) [[unlikely]] {
-      lockProfiled(RT, Site);
+    if (RT.watchdogMillis() != 0 || RT.profilingEnabled()) [[unlikely]] {
+      detail::acquireArmed</*Shared=*/false>(RT, Impl, this, site(Site));
       return;
     }
     Impl.lock();
@@ -127,41 +182,6 @@ private:
     return S ? S : DeclSite;
   }
 
-  void lockProfiled(rt::Runtime &RT, const AccessSite *S) {
-    uint64_t Start = rt::readTsc();
-    bool Contended = !Impl.try_lock();
-    if (Contended) {
-      RT.onLockWait(this, site(S));
-      Impl.lock();
-    }
-    RT.onLockAcquireProfiled(this, site(S),
-                             Contended ? rt::readTsc() - Start : 0, Contended);
-  }
-
-  void lockGuarded(rt::Runtime &RT, const AccessSite *S) {
-    if (!guard::faultLockTimeout()) {
-      auto Deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(RT.watchdogMillis());
-      for (;;) {
-        if (Impl.try_lock()) {
-          RT.noteLockHolder(this, site(S));
-          RT.onLockAcquire(this);
-          return;
-        }
-        if (std::chrono::steady_clock::now() >= Deadline)
-          break;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-    // Watchdog expired (or an injected lock-timeout fault fired): report
-    // the stall with holder attribution, then fall back to a plain
-    // blocking acquire.
-    RT.reportLockStall(this, site(S));
-    Impl.lock();
-    RT.noteLockHolder(this, site(S));
-    RT.onLockAcquire(this);
-  }
-
   std::mutex Impl;
   const AccessSite *DeclSite = nullptr;
 };
@@ -179,37 +199,8 @@ public:
 
   void lock(const AccessSite *Site = nullptr) {
     rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]] {
-      if (!guard::faultLockTimeout()) {
-        auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(RT.watchdogMillis());
-        for (;;) {
-          if (Impl.try_lock()) {
-            RT.noteLockHolder(this, site(Site));
-            RT.onLockAcquire(this);
-            return;
-          }
-          if (std::chrono::steady_clock::now() >= Deadline)
-            break;
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-      RT.reportLockStall(this, site(Site));
-      Impl.lock();
-      RT.noteLockHolder(this, site(Site));
-      RT.onLockAcquire(this);
-      return;
-    }
-    if (RT.profilingEnabled()) [[unlikely]] {
-      uint64_t Start = rt::readTsc();
-      bool Contended = !Impl.try_lock();
-      if (Contended) {
-        RT.onLockWait(this, site(Site));
-        Impl.lock();
-      }
-      RT.onLockAcquireProfiled(this, site(Site),
-                               Contended ? rt::readTsc() - Start : 0,
-                               Contended);
+    if (RT.watchdogMillis() != 0 || RT.profilingEnabled()) [[unlikely]] {
+      detail::acquireArmed</*Shared=*/false>(RT, Impl, this, site(Site));
       return;
     }
     Impl.lock();
@@ -221,35 +212,8 @@ public:
   }
   void lock_shared(const AccessSite *Site = nullptr) {
     rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]] {
-      if (!guard::faultLockTimeout()) {
-        auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(RT.watchdogMillis());
-        for (;;) {
-          if (Impl.try_lock_shared()) {
-            RT.onSharedLockAcquire(this);
-            return;
-          }
-          if (std::chrono::steady_clock::now() >= Deadline)
-            break;
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-      RT.reportLockStall(this, site(Site));
-      Impl.lock_shared();
-      RT.onSharedLockAcquire(this);
-      return;
-    }
-    if (RT.profilingEnabled()) [[unlikely]] {
-      uint64_t Start = rt::readTsc();
-      bool Contended = !Impl.try_lock_shared();
-      if (Contended) {
-        RT.onLockWait(this, site(Site));
-        Impl.lock_shared();
-      }
-      RT.onSharedLockAcquireProfiled(this, site(Site),
-                                     Contended ? rt::readTsc() - Start : 0,
-                                     Contended);
+    if (RT.watchdogMillis() != 0 || RT.profilingEnabled()) [[unlikely]] {
+      detail::acquireArmed</*Shared=*/true>(RT, Impl, this, site(Site));
       return;
     }
     Impl.lock_shared();

@@ -55,11 +55,6 @@ struct RuntimeConfig {
   /// Reference-counting engine.
   RcMode Rc = RcMode::LevanoniPetrank;
 
-  /// Capacity (entries, power of two) of the open-addressing reference
-  /// count table. Entries are never removed, mirroring the paper's
-  /// tolerance of "bogus" non-pointer values flowing into counted slots.
-  size_t RcTableCapacity = 1u << 20;
-
   /// Failure semantics: violation policy, per-kind report cap, and the
   /// stall watchdog (DESIGN.md §12). Runtime::init() additionally honors
   /// SHARC_POLICY from the environment, which overrides OnViolation.

@@ -28,21 +28,6 @@ using namespace sharc::guard;
 // Policy dispatch
 //===----------------------------------------------------------------------===//
 
-namespace {
-// Abort is the historical behaviour of the config-less failure paths
-// (RcTable exhaustion); Runtime::init() aligns this with the effective
-// runtime policy.
-std::atomic<Policy> GlobalPolicy{Policy::Abort};
-} // namespace
-
-void guard::setGlobalPolicy(Policy P) {
-  GlobalPolicy.store(P, std::memory_order_relaxed);
-}
-
-Policy guard::globalPolicy() {
-  return GlobalPolicy.load(std::memory_order_relaxed);
-}
-
 Verdict guard::onViolation(const GuardConfig &Config,
                            const rt::ConflictReport &Report,
                            rt::ReportSink &Sink) {

@@ -124,13 +124,6 @@ enum class Verdict : uint8_t {
 Verdict onViolation(const GuardConfig &Config, const rt::ConflictReport &Report,
                     rt::ReportSink &Sink);
 
-/// Process-global policy for failure paths that have no RuntimeConfig in
-/// reach (RcTable capacity exhaustion). Defaults to Abort — the historical
-/// behaviour of those paths. Runtime::init() aligns it with the runtime's
-/// effective policy.
-void setGlobalPolicy(Policy P);
-Policy globalPolicy();
-
 //===----------------------------------------------------------------------===//
 // Fault injection (SHARC_FAULT=)
 //===----------------------------------------------------------------------===//

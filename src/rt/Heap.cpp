@@ -78,7 +78,10 @@ void Heap::deallocate(void *Ptr) {
   if (!Ptr)
     return;
   Header *H = headerFor(Ptr);
-  assert(H->Magic == HeaderMagicLive && "bad or double free");
+  if (H->Magic != HeaderMagicLive)
+    guard::fatalInternal("free of %p, which is not a live sharc allocation "
+                         "(double free?)",
+                         Ptr);
   size_t Granule = Config.granuleSize();
   size_t Payload = (H->Size + Granule - 1) & ~(Granule - 1);
   if (Payload == 0)

@@ -50,6 +50,7 @@ public:
 
   /// Logically frees \p Ptr: clears its shadow state immediately and
   /// queues the block; physical release happens at releaseDeferred().
+  /// Freeing a block again before that release is fatal (exit 3).
   void deallocate(void *Ptr);
 
   /// \returns the requested size of a live allocation.

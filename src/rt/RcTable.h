@@ -5,64 +5,53 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-capacity, insert-only, open-addressing hash table mapping a
-/// pointer-sized value to its reference count. Keying counts by *value*
-/// (rather than by a header inside the object) mirrors the paper's
-/// observation on dillo that "bogus" integers cast to pointer type still
-/// get counted; they cost table space (the paper's extra pagefaults) but
-/// never crash the runtime.
+/// An insert-only map from a pointer-sized value to its reference count.
+/// Keying counts by *value* (rather than by a header inside the object)
+/// mirrors the paper's observation on dillo that "bogus" integers cast to
+/// pointer type still get counted; they cost table space (the paper's
+/// extra pagefaults) but never crash the runtime.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHARC_RT_RCTABLE_H
 #define SHARC_RT_RCTABLE_H
 
+#include "rt/AddrIndex.h"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace sharc {
 namespace rt {
 
 /// Concurrent value -> signed count map. Entries are never removed; a
-/// count may drop to zero and later revive. If the table fills (capacity
-/// is configured generously; see RuntimeConfig::RcTableCapacity) the
-/// guard's global policy decides: Abort exits through fatalInternal,
-/// Continue/Quarantine drop further counts with a one-shot warning.
+/// count may drop to zero and later revive. Adding is lock-free and the
+/// table never fills.
 class RcTable {
 public:
-  explicit RcTable(size_t Capacity);
-
-  RcTable(const RcTable &) = delete;
-  RcTable &operator=(const RcTable &) = delete;
-
-  /// Adds \p Delta to the count for \p Value (Value must be nonzero).
-  void add(uintptr_t Value, int64_t Delta);
-
-  /// \returns the current count for \p Value, or 0 if never seen.
-  int64_t get(uintptr_t Value) const;
-
-  /// Number of distinct values ever counted.
-  size_t getNumEntries() const {
-    return NumEntries.load(std::memory_order_relaxed);
+  /// Adds \p Delta to the count for \p Value.
+  void add(uintptr_t Value, int64_t Delta) {
+    Counts.insert(Value).fetch_add(Delta, std::memory_order_acq_rel);
   }
 
-  size_t memoryFootprint() const { return Capacity * sizeof(Entry); }
+  /// \returns the current count for \p Value, or 0 if never seen.
+  int64_t get(uintptr_t Value) const {
+    const std::atomic<int64_t> *Count = Counts.find(Value);
+    return Count ? Count->load(std::memory_order_acquire) : 0;
+  }
+
+  /// Number of distinct values ever counted.
+  size_t getNumEntries() const { return Counts.getNumEntries(); }
+
+  /// Bytes one counted value's entry allocates.
+  static constexpr size_t entryBytes() { return Index::entryBytes(); }
+
+  size_t memoryFootprint() const { return getNumEntries() * entryBytes(); }
 
 private:
-  struct Entry {
-    std::atomic<uintptr_t> Key{0};
-    std::atomic<int64_t> Count{0};
-  };
-
-  Entry *findOrInsert(uintptr_t Value);
-  const Entry *find(uintptr_t Value) const;
-
-  size_t Capacity; ///< Power of two.
-  std::unique_ptr<Entry[]> Entries;
-  std::atomic<size_t> NumEntries{0};
-  std::atomic<bool> WarnedFull{false};
+  using Index = AddrIndex<std::atomic<int64_t>>;
+  Index Counts;
 };
 
 } // namespace rt

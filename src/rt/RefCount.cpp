@@ -10,7 +10,7 @@ using namespace sharc::rt;
 
 RefCountEngine::RefCountEngine(const RuntimeConfig &Config,
                                ThreadRegistry &Registry)
-    : Config(Config), Registry(Registry), Table(Config.RcTableCapacity) {}
+    : Config(Config), Registry(Registry) {}
 
 void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
                               ThreadState &TS) {

@@ -43,11 +43,9 @@ Runtime::Runtime(const RuntimeConfig &Config)
       Generation(NextGeneration++) {
   // Failure-semantics resolution (DESIGN.md §12): SHARC_POLICY overrides
   // the configured guard policy so deployed binaries can switch policies
-  // without a rebuild. The global policy (config-less paths like RcTable
-  // exhaustion) follows suit, and SHARC_FAULT is parsed once so fault
-  // injection reaches every subsystem.
+  // without a rebuild, and SHARC_FAULT is parsed once so fault injection
+  // reaches every subsystem.
   guard::policyFromEnv(this->Config.Guard.OnViolation);
-  guard::setGlobalPolicy(this->Config.Guard.OnViolation);
   // An empty SHARC_WATCHDOG_MS counts as unset, like SHARC_FAULT. The cap
   // keeps the watchdog's deadlines from overflowing.
   uint64_t &Watchdog = this->Config.Guard.WatchdogMillis;
@@ -301,8 +299,10 @@ void Runtime::reportLockStall(const void *Lock, const AccessSite *Site) {
         Holder.Tid = S.Tid;
     });
   }
-  // The wait slice feeds the PR 3 contention tables.
-  onLockWait(Lock, Site);
+  // The wait slice feeds the contention tables. A profiled acquire
+  // published it when its wait began.
+  if (!profilingEnabled())
+    onLockWait(Lock, Site);
   ConflictReport Report;
   Report.Kind = ReportKind::StallTimeout;
   Report.Address = reinterpret_cast<uintptr_t>(Lock);
@@ -553,9 +553,7 @@ StatsSnapshot Runtime::computeStats(const CounterTotals &Counts) {
   S.LockViolations = Sink.getTotalOfKind(ReportKind::LockViolation);
   S.CastErrors = Sink.getTotalOfKind(ReportKind::CastError);
   S.ShadowBytes = Shadow->getShadowBytes();
-  // Count the reference-count table by *touched* entries: the analog of
-  // the paper's minor-pagefault measure.
-  S.RcTableBytes = Rc->getTable().getNumEntries() * 16;
+  S.RcTableBytes = Rc->getTable().memoryFootprint();
   Registry.forEachState([&](ThreadState &T) { S.LogBytes += T.logBytes(); });
   S.HeapPayloadBytes = TheHeap->getPayloadBytes();
   S.PeakHeapPayloadBytes = TheHeap->getPeakPayloadBytes();

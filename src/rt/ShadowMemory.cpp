@@ -10,24 +10,18 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <memory>
 
 using namespace sharc::rt;
 
 /// Shadow for one 4 KiB page of application address space. Cells is a raw
 /// byte array holding one little-endian shadow word of
-/// Config.ShadowBytesPerGranule bytes per granule.
+/// Config.ShadowBytesPerGranule bytes per granule, zeroed at creation.
 struct ShadowMemory::Page {
-  uintptr_t Base = 0;
-  std::atomic<Page *> Next{nullptr};
+  explicit Page(size_t CellBytes)
+      : Cells(std::make_unique<uint8_t[]>(CellBytes)) {}
   std::unique_ptr<uint8_t[]> Cells;
 };
-
-static size_t hashPage(uintptr_t PageBase) {
-  uint64_t H = static_cast<uint64_t>(PageBase) >> 12;
-  H *= 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>(H >> 48);
-}
 
 ShadowMemory::ShadowMemory(const RuntimeConfig &Config, ReportSink &Sink,
                            ThreadRegistry &Registry)
@@ -37,60 +31,21 @@ ShadowMemory::ShadowMemory(const RuntimeConfig &Config, ReportSink &Sink,
   [[maybe_unused]] unsigned N = Config.ShadowBytesPerGranule;
   assert((N == 1 || N == 2 || N == 4 || N == 8) &&
          "shadow word must be 1, 2, 4 or 8 bytes");
-  GranulesPerPage = PageBytes >> Config.GranuleShift;
-  Buckets = std::make_unique<std::atomic<Page *>[]>(NumBuckets);
-  for (size_t I = 0; I != NumBuckets; ++I)
-    Buckets[I].store(nullptr, std::memory_order_relaxed);
+  CellBytes = (PageBytes >> Config.GranuleShift) * N;
 }
 
-ShadowMemory::~ShadowMemory() {
-  for (size_t I = 0; I != NumBuckets; ++I) {
-    Page *P = Buckets[I].load(std::memory_order_relaxed);
-    while (P) {
-      Page *Next = P->Next.load(std::memory_order_relaxed);
-      delete P;
-      P = Next;
-    }
-  }
+ShadowMemory::~ShadowMemory() = default;
+
+uint64_t ShadowMemory::getShadowBytes() const {
+  return Pages.getNumEntries() * (CellBytes + Pages.entryBytes());
 }
 
 ShadowMemory::Page *ShadowMemory::lookupPage(uintptr_t PageBase) const {
-  size_t Bucket = hashPage(PageBase) & (NumBuckets - 1);
-  for (Page *P = Buckets[Bucket].load(std::memory_order_acquire); P;
-       P = P->Next.load(std::memory_order_acquire))
-    if (P->Base == PageBase)
-      return P;
-  return nullptr;
+  return Pages.find(PageBase >> PageShift);
 }
 
 ShadowMemory::Page *ShadowMemory::getOrCreatePage(uintptr_t PageBase) {
-  if (Page *P = lookupPage(PageBase))
-    return P;
-
-  auto NewPage = std::make_unique<Page>();
-  NewPage->Base = PageBase;
-  size_t CellBytes = GranulesPerPage * Config.ShadowBytesPerGranule;
-  NewPage->Cells = std::make_unique<uint8_t[]>(CellBytes);
-  std::memset(NewPage->Cells.get(), 0, CellBytes);
-
-  std::atomic<Page *> &Head = Buckets[hashPage(PageBase) & (NumBuckets - 1)];
-  Page *Raw = NewPage.get();
-  Page *Expected = Head.load(std::memory_order_acquire);
-  while (true) {
-    // Re-scan the new portion of the chain for a racing insert of the same
-    // page before trying to prepend.
-    for (Page *P = Expected; P; P = P->Next.load(std::memory_order_acquire))
-      if (P->Base == PageBase)
-        return P;
-    Raw->Next.store(Expected, std::memory_order_relaxed);
-    if (Head.compare_exchange_weak(Expected, Raw, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-      ShadowBytes.fetch_add(CellBytes + sizeof(Page),
-                            std::memory_order_relaxed);
-      NewPage.release();
-      return Raw;
-    }
-  }
+  return &Pages.insert(PageBase >> PageShift, CellBytes);
 }
 
 namespace {

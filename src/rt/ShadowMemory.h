@@ -23,9 +23,9 @@
 /// carries the access site; it is the only provenance a conflict report
 /// has for the other thread's access.
 ///
-/// Shadow is organized as a lock-free chained hash table of pages covering
-/// 4 KiB of application address space each, so heap, globals, and stack can
-/// all be checked without registration.
+/// Shadow is organized in pages covering 4 KiB of application address
+/// space each, found through an AddrIndex keyed by page number, so heap,
+/// globals, and stack can all be checked without registration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,14 +33,13 @@
 #define SHARC_RT_SHADOWMEMORY_H
 
 #include "rt/AccessSite.h"
+#include "rt/AddrIndex.h"
 #include "rt/Config.h"
 #include "rt/Guard.h"
 #include "rt/Report.h"
 #include "rt/ThreadRegistry.h"
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_set>
 
@@ -86,7 +85,7 @@ public:
   unsigned granuleSize() const { return 1u << Config.GranuleShift; }
 
   /// Bytes of shadow pages allocated so far; pages are never freed.
-  uint64_t getShadowBytes() const { return ShadowBytes.load(); }
+  uint64_t getShadowBytes() const;
 
 private:
   struct Page;
@@ -115,11 +114,9 @@ private:
 
   static constexpr unsigned PageShift = 12;
   static constexpr size_t PageBytes = size_t(1) << PageShift;
-  static constexpr size_t NumBuckets = size_t(1) << 16;
 
-  size_t GranulesPerPage;
-  std::unique_ptr<std::atomic<Page *>[]> Buckets;
-  std::atomic<uint64_t> ShadowBytes{0};
+  size_t CellBytes; ///< Shadow bytes per page.
+  AddrIndex<Page> Pages;
   std::mutex QuarantineMutex;
   std::unordered_set<uintptr_t> QuarantinedGranules;
 };

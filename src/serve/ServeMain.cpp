@@ -527,10 +527,14 @@ int writeReport(const ServeOptions &Opt, const char *Mode,
   W.key("schema");
   W.value("sharc-bench-v1");
   W.key("bench");
-  // A spans-armed run is its own benchmark configuration: compare-runs
-  // groups series by this name, and traced runs must trend against
-  // traced history, not dilute the untraced series.
-  W.value(Opt.TracePath.empty() ? "sharc_serve" : "sharc_serve_spans");
+  // A resilience-armed or spans-armed run is its own benchmark
+  // configuration: compare-runs groups series by this name, and a storm
+  // or traced run must trend against its own history, not dilute the
+  // plain series.
+  if (Opt.Params.Resilient)
+    W.value("sharc_serve_storm");
+  else
+    W.value(Opt.TracePath.empty() ? "sharc_serve" : "sharc_serve_spans");
   W.key("scale");
   W.value(static_cast<uint64_t>(bench::scale()));
   W.key("reps");

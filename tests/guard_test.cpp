@@ -246,6 +246,25 @@ TEST(GuardDeathTest, FatalInternalExitsThree) {
               testing::ExitedWithCode(3), "sharc: fatal: injected failure 7");
 }
 
+TEST(GuardDeathTest, DoubleFreeExitsThree) {
+  // The freed block's header stays readable until a collection releases
+  // it, so a second free before then can be caught: it must die naming
+  // the block instead of wrapping the payload count and queueing the
+  // block twice, in every build type.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Runtime::init();
+        Runtime &RT = Runtime::get();
+        void *P = RT.allocate(32);
+        RT.deallocate(P);
+        RT.deallocate(P);
+      },
+      testing::ExitedWithCode(3),
+      "sharc: fatal: free of 0x[0-9a-f]+, which is not a live sharc "
+      "allocation");
+}
+
 TEST(GuardDeathTest, SecondDyingThreadWaitsForTheCrashHooks) {
   // Two threads die at once (two abort-policy violations): the one that
   // loses the race to run the hooks must not exit mid-flush.

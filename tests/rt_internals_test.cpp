@@ -7,7 +7,7 @@
 /// \file
 /// Unit and property tests for the runtime's internal data structures:
 /// the chunked RC logs (concurrent scan vs. append), the sharded dirty
-/// table, the open-addressing count table under stress, report
+/// table, the address index behind the count table under stress, report
 /// formatting/dedup, the deferred-free heap, and concurrent shadow
 /// memory properties, including reports that read another thread's access
 /// log while it appends, and stats snapshots taken while the counted
@@ -24,7 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace sharc;
@@ -197,7 +199,7 @@ TEST(DirtyTableTest, ConcurrentTestAndSetExactlyOneWinner) {
 //===----------------------------------------------------------------------===//
 
 TEST(RcTableStressTest, ConcurrentAddsSumExactly) {
-  RcTable Table(1 << 14);
+  RcTable Table;
   constexpr unsigned NumThreads = 4;
   constexpr unsigned OpsPerThread = 20000;
   std::vector<std::thread> Threads;
@@ -218,14 +220,73 @@ TEST(RcTableStressTest, ConcurrentAddsSumExactly) {
   EXPECT_EQ(Sum, int64_t(NumThreads) * OpsPerThread);
 }
 
-TEST(RcTableStressTest, NearCapacityStillFindsAll) {
-  RcTable Table(256);
-  // Fill to 75% of capacity; probing must still terminate and find.
+TEST(RcTableStressTest, MoreValuesThanBucketsAreAllFound) {
+  // 200k values over the index's 2^16 chains. The first two families are
+  // the inputs of the old open-addressing table's near-capacity and
+  // probing tests: values a page apart, as heap blocks often are, and
+  // values that collided under probing.
+  RcTable Table;
+  std::unordered_map<uintptr_t, int64_t> Want;
+  auto Add = [&](uintptr_t Value, int64_t Delta) {
+    Table.add(Value, Delta);
+    Want[Value] += Delta;
+  };
   for (uintptr_t V = 1; V <= 192; ++V)
-    Table.add(V * 4096 + 1, static_cast<int64_t>(V));
-  for (uintptr_t V = 1; V <= 192; ++V)
-    EXPECT_EQ(Table.get(V * 4096 + 1), static_cast<int64_t>(V));
-  EXPECT_EQ(Table.getNumEntries(), 192u);
+    Add(V * 4096 + 1, static_cast<int64_t>(V));
+  for (uintptr_t V = 1; V <= 12; ++V)
+    Add(V * 7919, static_cast<int64_t>(V));
+  for (uintptr_t V = 1; Want.size() != 200000; ++V)
+    Add(V * 16, static_cast<int64_t>(V % 7) - 3);
+  size_t Wrong = 0;
+  for (const auto &[Value, Count] : Want)
+    Wrong += Table.get(Value) != Count;
+  EXPECT_EQ(Wrong, 0u);
+  EXPECT_EQ(Table.getNumEntries(), 200000u);
+  EXPECT_EQ(Table.get(8), 0) << "a value never counted reads 0";
+}
+
+TEST(RcTableStressTest, RacingInsertsOfOneValueMakeOneEntry) {
+  // Four threads count the same fresh values in the same order, so the
+  // first count of each value races: exactly one entry may go in, and
+  // the losers must find it.
+  constexpr unsigned NumThreads = 4;
+  constexpr uintptr_t NumValues = 10000;
+  RcTable Table;
+  std::latch Start(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&] {
+      Start.arrive_and_wait();
+      for (uintptr_t V = 1; V <= NumValues; ++V)
+        Table.add(V * 64, 1);
+    });
+  for (auto &T : Threads)
+    T.join();
+  EXPECT_EQ(Table.getNumEntries(), NumValues);
+  size_t Wrong = 0;
+  for (uintptr_t V = 1; V <= NumValues; ++V)
+    Wrong += Table.get(V * 64) != int64_t(NumThreads);
+  EXPECT_EQ(Wrong, 0u);
+}
+
+TEST(RcTableStressTest, StatsCountOneEntryPerDistinctValue) {
+  RuntimeConfig Config;
+  Config.Rc = RcMode::Atomic; // counts land at the store, not a collection
+  RuntimeGuard Guard(Config);
+  Runtime &RT = Runtime::get();
+  EXPECT_EQ(RT.getStats().RcTableBytes, 0u);
+  void *A = RT.allocate(32);
+  void *B = RT.allocate(32);
+  void *Slot = nullptr;
+  RT.rcInitSlot(&Slot);
+  RT.rcStore(&Slot, A);
+  EXPECT_EQ(RT.getStats().RcTableBytes, RcTable::entryBytes());
+  RT.rcStore(&Slot, B);
+  RT.rcStore(&Slot, A);
+  EXPECT_EQ(RT.getStats().RcTableBytes, 2 * RcTable::entryBytes());
+  RT.rcStore(&Slot, nullptr);
+  RT.deallocate(A);
+  RT.deallocate(B);
 }
 
 //===----------------------------------------------------------------------===//

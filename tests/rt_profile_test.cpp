@@ -21,9 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace sharc;
@@ -74,14 +76,15 @@ protected:
   /// Runtime with full profiling into Downstream via a Collector.
   /// SampleShift 0 times every operation, so Cycles/Samples are
   /// deterministic in what they cover (every op) if not in magnitude.
-  void initProfiled(unsigned ShadowBytesPerGranule = 1,
-                    bool Profile = true) {
+  void initProfiled(unsigned ShadowBytesPerGranule = 1, bool Profile = true,
+                    uint64_t WatchdogMillis = 0) {
     Wrapper.emplace(Downstream);
     rt::RuntimeConfig Config;
     Config.Obs = &*Wrapper;
     Config.Profile = Profile;
     Config.ProfileSampleShift = 0;
     Config.ShadowBytesPerGranule = ShadowBytesPerGranule;
+    Config.Guard.WatchdogMillis = WatchdogMillis;
     rt::Runtime::init(Config);
   }
 
@@ -314,6 +317,73 @@ TEST_F(RtProfileTest, LockContentionIsAttributedToAcquirerSite) {
   // completed hold.
   EXPECT_EQ(WaitHistSum, Acquires);
   EXPECT_EQ(HoldHistSum, Acquires);
+}
+
+TEST_F(RtProfileTest, WatchdogArmedAcquiresAreStillProfiled) {
+  // Profiling and the stall watchdog armed together: every exclusive and
+  // shared acquire is timed and profiled, and a stall is still reported
+  // with its holder named.
+  initProfiled(/*ShadowBytesPerGranule=*/1, /*Profile=*/true,
+               /*WatchdogMillis=*/10000);
+  rt::Runtime &RT = rt::Runtime::get();
+  const rt::AccessSite *MSite = SHARC_SITE("m");
+  const rt::AccessSite *ExclSite = SHARC_SITE("rw(exclusive)");
+  const rt::AccessSite *SharedSite = SHARC_SITE("rw(shared)");
+  Mutex M;
+  SharedMutex RW;
+  for (int I = 0; I != 8; ++I) {
+    M.lock(MSite);
+    M.unlock();
+  }
+  for (int I = 0; I != 5; ++I) {
+    RW.lock(ExclSite);
+    RW.unlock();
+    RW.lock_shared(SharedSite);
+    RW.unlock_shared();
+  }
+
+  // Main holds M; the waiter's acquire takes an injected lock timeout,
+  // which files the stall report at once and then waits for the lock.
+  unsigned MainTid = RT.currentThread().Tid;
+  M.lock(MSite);
+  guard::FaultConfig F;
+  F.LockTimeout = true;
+  guard::setFaults(F);
+  unsigned WaiterTid = 0;
+  Thread Waiter([&] {
+    WaiterTid = RT.currentThread().Tid;
+    M.lock(MSite);
+    M.unlock();
+  });
+  while (RT.getReports().getTotalOfKind(rt::ReportKind::StallTimeout) == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  M.unlock();
+  Waiter.join();
+  guard::setFaults(guard::FaultConfig());
+
+  std::vector<rt::ConflictReport> Reports = RT.getReports().getReports();
+  live::LiveSnapshot S = RT.liveSnapshot();
+  rt::Runtime::shutdown();
+  Wrapper->flush();
+
+  ASSERT_EQ(Reports.size(), 1u);
+  EXPECT_EQ(Reports[0].Kind, rt::ReportKind::StallTimeout);
+  EXPECT_EQ(Reports[0].WhoTid, WaiterTid);
+  EXPECT_EQ(Reports[0].LastTid, MainTid) << "stall report must name the holder";
+  EXPECT_EQ(S.LockAcquires, 20u);
+  EXPECT_GE(S.LockContended, 1u) << "the stalled acquire waited";
+  uint64_t MAcquires = 0, ExclAcquires = 0, SharedAcquires = 0;
+  for (const LockProfileRecord &R : Downstream.Locks) {
+    if (R.Lock == uint64_t(reinterpret_cast<uintptr_t>(&M)))
+      MAcquires += R.Acquires;
+    else if (R.Line == uint32_t(ExclSite->Line))
+      ExclAcquires += R.Acquires;
+    else if (R.Line == uint32_t(SharedSite->Line))
+      SharedAcquires += R.Acquires;
+  }
+  EXPECT_EQ(MAcquires, 10u);
+  EXPECT_EQ(ExclAcquires, 5u);
+  EXPECT_EQ(SharedAcquires, 5u);
 }
 
 } // namespace

@@ -41,7 +41,7 @@ RuntimeConfig configFor(RcMode Mode) {
 } // namespace
 
 TEST(RcTableTest, CountsPerValue) {
-  RcTable Table(1024);
+  RcTable Table;
   Table.add(0x1000, 1);
   Table.add(0x1000, 1);
   Table.add(0x2000, 1);
@@ -55,20 +55,11 @@ TEST(RcTableTest, CountsPerValue) {
 TEST(RcTableTest, ToleratesBogusValues) {
   // The dillo benchmark stores integers in pointer slots; the table keys
   // by value and never dereferences.
-  RcTable Table(1024);
+  RcTable Table;
   Table.add(42, 1);
   Table.add(0xdeadbeef, 1);
   EXPECT_EQ(Table.get(42), 1);
   EXPECT_EQ(Table.get(0xdeadbeef), 1);
-}
-
-TEST(RcTableTest, HandlesCollisionsByProbing) {
-  RcTable Table(16);
-  // More values than buckets would collide; keep under capacity.
-  for (uintptr_t V = 1; V <= 12; ++V)
-    Table.add(V * 7919, static_cast<int64_t>(V));
-  for (uintptr_t V = 1; V <= 12; ++V)
-    EXPECT_EQ(Table.get(V * 7919), static_cast<int64_t>(V));
 }
 
 class RcModeTest : public ::testing::TestWithParam<RcMode> {};

@@ -161,6 +161,13 @@ if grep -q '"resilience"' "$WORK/serve.json"; then
 else
   echo "ok: disarmed report omits serve.resilience"
 fi
+# Each configuration trends under its own bench name in compare-runs.
+if grep -q '"bench":"sharc_serve"' "$WORK/serve.json" &&
+   grep -q '"bench":"sharc_serve_storm"' "$WORK/storm.json"; then
+  echo "ok: plain and armed runs carry their own bench names"
+else
+  fail "bench names: plain run must be sharc_serve, armed sharc_serve_storm"
+fi
 
 # --- request spans: --trace-out end to end ---
 expect_exit 2 "--trace-out without a value" "$SERVE" --trace-out
