@@ -57,9 +57,11 @@ echo "slowest: $SLOWEST in $SLOWEST_MS ms"
 
 echo "== sanitizers =="
 # ASan+UBSan and TSan builds of the tests that cover the race detectors,
-# the fuzz oracles, the parser, the interpreter and its schedule
-# explorer (whose race analysis indexes steps by node number), and the
-# runtime: its concurrent internals (including stats snapshots taken
+# the fuzz oracles, the parser, the checker's instrumentation table, the
+# interpreter (its object table and live-thread list on arrays, structs,
+# recursion and frees) and its schedule explorer (whose race analysis
+# indexes steps by node number and whose nodes reuse their storage), and
+# the runtime: its concurrent internals (including stats snapshots taken
 # while threads count), the facade, profiling, reader-writer locks, the
 # stats endpoint, the guard layer, and the Table 1 workloads, each of
 # which runs the shadow and reference-count indexes on several threads.
@@ -86,11 +88,13 @@ san_lane "$BUILD/asan" \
   "$ASAN_FLAGS -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
-  interp_test explore_test workloads_test guard_test
+  checker_test interp_test interp_lang_test explore_test workloads_test \
+  guard_test
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test rt_shadow_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
-  interp_test explore_test workloads_test guard_test
+  checker_test interp_test interp_lang_test explore_test workloads_test \
+  guard_test
 
 echo "== fuzz smoke =="
 "$BUILD/src/fuzz/sharc-fuzz" --count 100 --schedules 4 --seed 1 --quiet

@@ -36,6 +36,7 @@
 #include "minic/AST.h"
 #include "support/Diagnostics.h"
 
+#include <map>
 #include <set>
 
 namespace sharc {

@@ -19,7 +19,7 @@
 
 #include "minic/AST.h"
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace sharc {
@@ -45,7 +45,9 @@ struct AccessCheck {
   bool IsWrite = false;
 };
 
-/// All checks for one program, keyed by l-value occurrence.
+/// All checks for one program, keyed by l-value occurrence. The
+/// interpreter looks an occurrence up on every access it checks; no
+/// caller depends on the order of the sites.
 class Instrumentation {
 public:
   void add(const minic::Expr *LValue, AccessCheck Check) {
@@ -77,7 +79,7 @@ public:
   }
 
 private:
-  std::map<const minic::Expr *, std::vector<AccessCheck>> Checks;
+  std::unordered_map<const minic::Expr *, std::vector<AccessCheck>> Checks;
 };
 
 } // namespace checker

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <set>
 #include <unordered_map>
@@ -117,18 +118,46 @@ bool conflict(const Footprint &A, const Footprint &B) {
 // The exploration schedule
 //===----------------------------------------------------------------------===//
 
+// An offer lists live threads only (a thread pick its runnable ones, a
+// wake pick its waiters), so a mask over its positions needs one bit per
+// possible live thread.
+static_assert(MaxLiveThreads <= 64,
+              "Node::Done and Node::Backtrack are 64-bit position masks");
+
+/// A sleep set: tids whose subtree is already covered elsewhere, with
+/// the footprint of their step for the independence filter. clear()
+/// keeps the entries' footprint storage for the next add().
+class SleepSet {
+public:
+  void add(unsigned Tid, const Footprint &Fp) {
+    if (Size == Entries.size())
+      Entries.emplace_back();
+    Entries[Size].first = Tid;
+    Entries[Size].second.assign(Fp.begin(), Fp.end());
+    ++Size;
+  }
+  void clear() { Size = 0; }
+  auto begin() const { return Entries.begin(); }
+  auto end() const { return Entries.begin() + Size; }
+
+private:
+  std::vector<std::pair<unsigned, Footprint>> Entries;
+  size_t Size = 0;
+};
+
 /// One node of the persistent DFS stack: a choice point, the options it
 /// offered, the pick of the current path, and the exploration state
-/// (Done, Backtrack, Sleep) that survives across runs.
+/// (Done, Backtrack, Sleep) that survives across runs. Done and
+/// Backtrack are sets of positions in Enabled, bit I for Enabled[I]; a
+/// trace tid appears at most once in an offer, so a position stands for
+/// its thread.
 struct Node {
   ChoiceKind Kind = ChoiceKind::ThreadPick;
   std::vector<unsigned> Enabled; ///< Trace tids, machine order.
   unsigned Pick = 0;             ///< Trace tid of the current branch.
-  std::set<unsigned> Done;       ///< Branches fully explored.
-  std::set<unsigned> Backtrack;  ///< DPOR persistent set.
-  /// Sleep set: tids whose subtree is already covered elsewhere, with
-  /// the footprint of their step for the independence filter.
-  std::vector<std::pair<unsigned, Footprint>> Sleep;
+  uint64_t Done = 0;             ///< Branches fully explored.
+  uint64_t Backtrack = 0;        ///< DPOR persistent set.
+  SleepSet Sleep;
   Footprint Fp;        ///< Footprint of the executed step (this run).
   size_t TraceOff = 0; ///< Trace length when the step began (this run).
   unsigned PrevTid = 0;           ///< ThreadPick of the previous step.
@@ -141,6 +170,13 @@ bool contains(const std::vector<unsigned> &V, unsigned X) {
 
 size_t indexOf(const std::vector<unsigned> &V, unsigned X) {
   return static_cast<size_t>(std::find(V.begin(), V.end(), X) - V.begin());
+}
+
+uint64_t bit(size_t Pos) { return uint64_t(1) << Pos; }
+
+/// The mask of every position in a non-empty offer.
+uint64_t allPositions(const std::vector<unsigned> &Enabled) {
+  return ~uint64_t(0) >> (64 - Enabled.size());
 }
 
 bool asleep(const Node &N, unsigned Tid) {
@@ -238,16 +274,13 @@ public:
 
     // A fresh node: extend the path.
     int Parent = LastTP;
-    Nodes.emplace_back();
-    Node &N = Nodes.back();
-    N.Kind = CP.Kind;
-    N.Enabled.assign(CP.Options, CP.Options + CP.NumOptions);
+    Node &N = pushNode(CP);
 
     if (CP.Kind == ChoiceKind::CondSignalPick) {
       // Wake-up order is enumerated exhaustively (waiter lists are
       // tiny); DPOR and the preemption bound do not apply.
       N.Pick = N.Enabled[0];
-      N.Backtrack.insert(N.Enabled.begin(), N.Enabled.end());
+      N.Backtrack = allPositions(N.Enabled);
       ++Depth;
       return 0;
     }
@@ -262,12 +295,13 @@ public:
       // step, only sleepers independent of it stay asleep.
       for (const auto &[Tid, Fp] : Nodes[Parent].Sleep)
         if (Tid != Nodes[Parent].Pick && !conflict(Fp, Nodes[Parent].Fp))
-          N.Sleep.push_back({Tid, Fp});
+          N.Sleep.add(Tid, Fp);
     }
 
-    bool AnyAwake = false, Found = false;
-    unsigned Chosen = 0;
-    for (unsigned T : N.Enabled) {
+    bool AnyAwake = false;
+    size_t Chosen = N.Enabled.size();
+    for (size_t P = 0; P != N.Enabled.size(); ++P) {
+      unsigned T = N.Enabled[P];
       if (asleep(N, T))
         continue;
       AnyAwake = true;
@@ -276,24 +310,23 @@ public:
         Stats.BoundHit = true;
         continue;
       }
-      Chosen = T;
-      Found = true;
+      Chosen = P;
       break;
     }
-    if (!Found) {
+    if (Chosen == N.Enabled.size()) {
       // Every enabled thread is asleep (this execution is redundant)
       // or over the preemption bound (this execution is cut). Either
       // way the node never executes; drop it and stop the run.
       End = AnyAwake ? EndReason::Bound : EndReason::Sleep;
-      Nodes.pop_back();
+      popNode();
       return Abort;
     }
-    N.Pick = Chosen;
-    N.Backtrack.insert(Chosen);
+    N.Pick = N.Enabled[Chosen];
+    N.Backtrack = bit(Chosen);
     N.TraceOff = Trace->size();
     LastTP = static_cast<int>(Nodes.size()) - 1;
     ++Depth;
-    return indexOf(N.Enabled, Chosen);
+    return Chosen;
   }
 
   /// Seeds backtrack points from this run's conflicts: for each step,
@@ -307,7 +340,7 @@ public:
   /// step may query a slot after adding itself to it: add() by the
   /// querying thread leaves what before() returns for it unchanged.
   void dporUpdate() {
-    Index.clear();
+    ++Pass;
     LastSteps Scan, AnyWrite;
     for (size_t I = 0; I != Nodes.size(); ++I) {
       Node &NI = Nodes[I];
@@ -324,7 +357,10 @@ public:
         }
         // Reads conflict with writes, writes with reads and writes, and
         // lock and cond operations with their own kind.
-        std::array<LastSteps, 4> &ByKind = Index[F.A];
+        IndexEntry &E = Index[F.A];
+        if (E.Pass != Pass)
+          E = IndexEntry{Pass, {}};
+        std::array<LastSteps, 4> &ByKind = E.ByKind;
         Dep = std::max(Dep, ByKind[F.Kind == 0 ? 1 : F.Kind].before(T));
         if (F.Kind == 1) {
           Dep = std::max(Dep, ByKind[0].before(T));
@@ -344,10 +380,9 @@ public:
       if (Dep == NoStep)
         continue;
       Node &NJ = Nodes[static_cast<size_t>(Dep)];
-      if (contains(NJ.Enabled, T))
-        NJ.Backtrack.insert(T);
-      else
-        NJ.Backtrack.insert(NJ.Enabled.begin(), NJ.Enabled.end());
+      size_t P = indexOf(NJ.Enabled, T);
+      NJ.Backtrack |=
+          P != NJ.Enabled.size() ? bit(P) : allPositions(NJ.Enabled);
     }
   }
 
@@ -356,16 +391,16 @@ public:
   bool backtrack() {
     while (!Nodes.empty()) {
       Node &N = Nodes.back();
-      N.Done.insert(N.Pick);
+      N.Done |= bit(indexOf(N.Enabled, N.Pick));
       if (N.Kind == ChoiceKind::ThreadPick && Opts.UseSleepSets)
-        N.Sleep.push_back({N.Pick, N.Fp});
-      bool Found = false;
-      unsigned Next = 0;
-      for (unsigned T : N.Enabled) {
-        if (N.Done.count(T))
+        N.Sleep.add(N.Pick, N.Fp);
+      size_t Next = N.Enabled.size();
+      for (size_t P = 0; P != N.Enabled.size(); ++P) {
+        if (N.Done & bit(P))
           continue;
+        unsigned T = N.Enabled[P];
         if (N.Kind == ChoiceKind::ThreadPick) {
-          if (Opts.UseDpor && !N.Backtrack.count(T))
+          if (Opts.UseDpor && !(N.Backtrack & bit(P)))
             continue;
           if (Opts.UseSleepSets && asleep(N, T))
             continue;
@@ -376,23 +411,18 @@ public:
             continue;
           }
         }
-        Next = T;
-        Found = true;
+        Next = P;
         break;
       }
-      if (Found) {
-        N.Pick = Next;
-        N.Backtrack.insert(Next);
+      if (Next != N.Enabled.size()) {
+        N.Pick = N.Enabled[Next];
+        N.Backtrack |= bit(Next);
         return true;
       }
-      if (N.Kind == ChoiceKind::ThreadPick) {
-        uint64_t Unexplored = 0;
-        for (unsigned T : N.Enabled)
-          if (!N.Done.count(T))
-            ++Unexplored;
-        Stats.BranchesPruned += Unexplored;
-      }
-      Nodes.pop_back();
+      if (N.Kind == ChoiceKind::ThreadPick)
+        Stats.BranchesPruned +=
+            std::popcount(allPositions(N.Enabled) & ~N.Done);
+      popNode();
     }
     return false;
   }
@@ -411,6 +441,34 @@ public:
   }
 
 private:
+  /// Appends the node of a new choice point. It takes the storage of a
+  /// node popped earlier when there is one, so a search that has gone
+  /// as deep before allocates nothing.
+  Node &pushNode(const ChoicePoint &CP) {
+    if (Spare.empty()) {
+      Nodes.emplace_back();
+    } else {
+      Nodes.push_back(std::move(Spare.back()));
+      Spare.pop_back();
+    }
+    Node &N = Nodes.back();
+    N.Kind = CP.Kind;
+    N.Enabled.assign(CP.Options, CP.Options + CP.NumOptions);
+    N.Pick = 0;
+    N.Done = N.Backtrack = 0;
+    N.Sleep.clear();
+    N.Fp.clear();
+    N.TraceOff = 0;
+    N.PrevTid = N.PreemptionsBefore = 0;
+    return N;
+  }
+
+  /// Pops the last node, keeping its storage for pushNode().
+  void popNode() {
+    Spare.push_back(std::move(Nodes.back()));
+    Nodes.pop_back();
+  }
+
   unsigned preemptCost(const Node &N, unsigned Pick) const {
     // CHESS-style: switching away from a thread that could have kept
     // running is a preemption; running on, or switching after the
@@ -430,7 +488,8 @@ private:
       return;
     }
     Node &N = Nodes[static_cast<size_t>(LastTP)];
-    Footprint Fp = std::move(PendingNotes);
+    Footprint &Fp = N.Fp;
+    Fp.assign(PendingNotes.begin(), PendingNotes.end());
     PendingNotes.clear();
     for (size_t I = N.TraceOff; I < Trace->size(); ++I) {
       const TraceEvent &E = (*Trace)[I];
@@ -458,7 +517,6 @@ private:
       }
     }
     normalize(Fp);
-    N.Fp = std::move(Fp);
     ClosedTP = LastTP;
   }
 
@@ -470,8 +528,18 @@ private:
   int ClosedTP = -1; ///< Last node whose footprint closed (this run).
   Footprint PendingNotes;
   EndReason End = EndReason::None;
-  /// dporUpdate()'s latest steps per address, by footprint kind 0-3.
-  std::unordered_map<uint64_t, std::array<LastSteps, 4>> Index;
+  /// Popped nodes whose storage pushNode() reuses.
+  std::vector<Node> Spare;
+  /// dporUpdate()'s latest steps per address, by footprint kind 0-3, as
+  /// of pass Pass. The map is never cleared: an entry stamped by an
+  /// earlier pass reads as empty, so each address allocates once per
+  /// exploration, not once per run.
+  struct IndexEntry {
+    uint64_t Pass = 0;
+    std::array<LastSteps, 4> ByKind;
+  };
+  std::unordered_map<uint64_t, IndexEntry> Index;
+  uint64_t Pass = 0; ///< dporUpdate() calls so far.
 };
 
 } // namespace
@@ -528,6 +596,14 @@ ExploreResult interp::explore(minic::Program &Prog,
   std::set<ExploreVerdict> Witnessed;
   uint64_t Executions = 0;
   bool FirstRun = true;
+  // One trace buffer for every run: run() clears it, keeping its storage.
+  std::vector<TraceEvent> Trace;
+  InterpOptions IO;
+  IO.Seed = 1; // unused: every decision flows through the schedule
+  IO.MaxSteps = Opts.MaxStepsPerRun;
+  IO.EntryPoint = Opts.EntryPoint;
+  IO.Sched = &ES;
+  IO.Trace = &Trace;
 
   for (;;) {
     if (Executions >= Opts.MaxRuns ||
@@ -535,13 +611,6 @@ ExploreResult interp::explore(minic::Program &Prog,
       R.Stats.BudgetExhausted = true;
       break;
     }
-    std::vector<TraceEvent> Trace;
-    InterpOptions IO;
-    IO.Seed = 1; // unused: every decision flows through the schedule
-    IO.MaxSteps = Opts.MaxStepsPerRun;
-    IO.EntryPoint = Opts.EntryPoint;
-    IO.Sched = &ES;
-    IO.Trace = &Trace;
     ES.beginRun(&Trace);
     InterpResult Run = I.run(IO);
     ES.endRun();

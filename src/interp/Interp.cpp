@@ -109,10 +109,24 @@ struct Cell {
   uint32_t LastLine = 0;
 };
 
-struct ObjectInfo {
+/// One allocation: a global, a local, a string literal or a `new`.
+struct Object {
+  Addr Start = 0;
   uint64_t Size = 0;
   bool Freed = false;
 };
+
+/// Most cells one run may allocate: alloc() refuses a request past it,
+/// and the run reports a runtime error instead of exhausting the host's
+/// memory.
+constexpr uint64_t MaxCells = uint64_t(1) << 22;
+
+/// \returns A * B, or the largest uint64_t when that overflows (a size
+/// no allocation can satisfy).
+uint64_t mulCells(uint64_t A, uint64_t B) {
+  uint64_t P = 0;
+  return __builtin_mul_overflow(A, B, &P) ? ~uint64_t(0) : P;
+}
 
 /// An entry on a frame's control stack.
 struct Task {
@@ -196,7 +210,19 @@ public:
 private:
   InterpResult runImpl();
   //===--- memory ----------------------------------------------------------
+  /// \returns the first cell of SizeCells fresh cells, or 0 when that
+  /// would take Mem past MaxCells.
   Addr alloc(uint64_t SizeCells);
+  /// alloc() on behalf of T: a refused request is reported at At and
+  /// fails T.
+  Addr allocFor(ThreadCtx &T, const Expr *At, uint64_t SizeCells);
+  /// The object whose cells include A, or null.
+  Object *objectContaining(Addr A);
+  /// The object that starts at A, or null.
+  Object *objectAt(Addr A);
+  /// \returns true when A names an allocated cell; otherwise reports an
+  /// out-of-bounds access at Node and fails T.
+  bool inBounds(ThreadCtx &T, Addr A, const Expr *Node);
   void freeObject(ThreadCtx &T, Addr A, const Expr *At);
   uint64_t sizeInCells(const TypeNode *T) const;
   uint64_t fieldOffset(const StructDecl *S, const VarDecl *Field) const;
@@ -219,6 +245,8 @@ private:
                 const Expr *DestLV, const VarDecl *DestVar);
   bool execBuiltin(ThreadCtx &T, const FuncDecl *F,
                    const std::vector<int64_t> &Args, const CallExpr *Call);
+  /// \returns Var's cells in F, allocated on first use; 0 when the
+  /// allocation was refused (reported, and T failed).
   Addr localAddr(ThreadCtx &T, Frame &F, const VarDecl *Var);
 
   //===--- expressions --------------------------------------------------------
@@ -247,6 +275,18 @@ private:
     if (Options.Sink)
       Options.Sink->event(obs::Event{static_cast<obs::EventKind>(K),
                                      T.TraceTid, A, V, 0});
+  }
+
+  /// Records a runtime error of the machine itself, which no thread
+  /// caused: a refused global, a missing entry point, a deadlock, the
+  /// step budget.
+  void machineError(std::string Detail) {
+    Violation V;
+    V.K = Violation::Kind::RuntimeError;
+    V.Detail = std::move(Detail);
+    ++Result.TotalViolations;
+    Result.Violations.push_back(std::move(V));
+    emitConflict(Result.Violations.back(), nullptr);
   }
 
   /// Publishes a Conflict event for a just-recorded violation. Null T
@@ -328,14 +368,23 @@ private:
   bool SchedAbort = false;
 
   std::vector<Cell> Mem;
-  std::map<Addr, ObjectInfo> Objects;
+  /// Every allocation in allocation order. alloc() bumps Mem, so this is
+  /// also start-address order and lookups binary-search it.
+  std::vector<Object> Objects;
   std::map<const VarDecl *, Addr> Globals;
   std::map<const Expr *, Addr> StringCache;
   std::map<Addr, unsigned> LockOwner;
   /// rwlock reader counts (the writer side reuses LockOwner).
   std::map<Addr, unsigned> ReaderCount;
   std::map<Addr, std::vector<unsigned>> CondWaiters;
+  /// Every thread spawned this run, in creation order; a deque, so
+  /// spawning never moves a thread.
   std::deque<ThreadCtx> Threads;
+  /// The threads of Threads not yet done or failed, in creation order.
+  /// The run loop drops finished ones before each step.
+  std::vector<ThreadCtx *> Live;
+  /// Some thread failed (it has left Live).
+  bool AnyFailed = false;
   std::vector<unsigned> FreeTids;
   unsigned NextTid = 1;
   unsigned NextTraceTid = 1;
@@ -401,8 +450,9 @@ uint64_t Machine::sizeInCells(const TypeNode *T) const {
   case TypeKind::Func:
     return 1;
   case TypeKind::Array:
-    return static_cast<uint64_t>(T->ArraySize > 0 ? T->ArraySize : 1) *
-           sizeInCells(T->Pointee);
+    return mulCells(
+        static_cast<uint64_t>(T->ArraySize > 0 ? T->ArraySize : 1),
+        sizeInCells(T->Pointee));
   case TypeKind::Struct: {
     uint64_t Size = 0;
     if (T->Struct)
@@ -428,24 +478,46 @@ uint64_t Machine::fieldOffset(const StructDecl *S,
 Addr Machine::alloc(uint64_t SizeCells) {
   if (SizeCells == 0)
     SizeCells = 1;
+  // Mem never grows past MaxCells, so the subtraction cannot wrap.
+  if (SizeCells > MaxCells - Mem.size())
+    return 0;
   Addr A = Mem.size();
   Mem.resize(Mem.size() + SizeCells);
-  Objects[A] = ObjectInfo{SizeCells, false};
+  Objects.push_back(Object{A, SizeCells, false});
   return A;
 }
 
-void Machine::clearObjectSets(const ThreadCtx &T, Addr A) {
-  auto It = Objects.find(A);
-  if (It == Objects.end()) {
-    // Interior pointer: find the containing object.
-    It = Objects.upper_bound(A);
-    if (It == Objects.begin())
-      return;
-    --It;
-    if (A >= It->first + It->second.Size)
-      return;
+Addr Machine::allocFor(ThreadCtx &T, const Expr *At, uint64_t SizeCells) {
+  Addr A = alloc(SizeCells);
+  if (A == 0) {
+    report(Violation::Kind::RuntimeError, T, 0, At, nullptr,
+           "allocation past the interpreter's limit of " +
+               std::to_string(MaxCells) + " cells");
+    T.State = ThreadCtx::St::Failed;
   }
-  for (Addr C = It->first; C != It->first + It->second.Size; ++C) {
+  return A;
+}
+
+Object *Machine::objectContaining(Addr A) {
+  auto It = std::upper_bound(
+      Objects.begin(), Objects.end(), A,
+      [](Addr Key, const Object &O) { return Key < O.Start; });
+  if (It == Objects.begin())
+    return nullptr;
+  --It;
+  return A < It->Start + It->Size ? &*It : nullptr;
+}
+
+Object *Machine::objectAt(Addr A) {
+  Object *O = objectContaining(A);
+  return O && O->Start == A ? O : nullptr;
+}
+
+void Machine::clearObjectSets(const ThreadCtx &T, Addr A) {
+  const Object *O = objectContaining(A);
+  if (!O)
+    return;
+  for (Addr C = O->Start; C != O->Start + O->Size; ++C) {
     Mem[C].Readers = 0;
     Mem[C].Writers = 0;
     Mem[C].LastTid = 0;
@@ -457,21 +529,21 @@ void Machine::clearObjectSets(const ThreadCtx &T, Addr A) {
 void Machine::freeObject(ThreadCtx &T, Addr A, const Expr *At) {
   if (A == 0)
     return;
-  auto It = Objects.find(A);
-  if (It == Objects.end() || It->second.Freed) {
+  Object *O = objectAt(A);
+  if (!O || O->Freed) {
     report(Violation::Kind::RuntimeError, T, A, At, nullptr,
            "free of invalid or already-freed pointer");
     return;
   }
   // "When heap memory is deallocated with free(), it is no longer
   // considered to be accessed by any thread."
-  for (Addr C = It->first; C != It->first + It->second.Size; ++C) {
+  for (Addr C = O->Start; C != O->Start + O->Size; ++C) {
     if (Mem[C].IsPtr)
       emit(TraceEvent::Kind::PtrStore, T, C, 0);
     Mem[C] = Cell{};
     schedNote(SchedNote::ImplicitWrite, T, C);
   }
-  It->second.Freed = true;
+  O->Freed = true;
 }
 
 uint64_t Machine::countPtrCells(int64_t Value) const {
@@ -480,6 +552,15 @@ uint64_t Machine::countPtrCells(int64_t Value) const {
     if (C.IsPtr && C.V == Value)
       ++Count;
   return Count;
+}
+
+bool Machine::inBounds(ThreadCtx &T, Addr A, const Expr *Node) {
+  if (A != 0 && A < Mem.size())
+    return true;
+  report(Violation::Kind::RuntimeError, T, A, Node, nullptr,
+         "out-of-bounds access");
+  T.State = ThreadCtx::St::Failed;
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -614,6 +695,8 @@ void Machine::chkLock(ThreadCtx &T, Frame &F, const AccessCheck &Check,
     }
     Addr LockCell = static_cast<Addr>(Instance) +
                     fieldOffset(LockField->Parent, LockField);
+    if (!inBounds(T, LockCell, Node))
+      return;
     LockValue = Mem[LockCell].V;
   } else {
     LockValue = evalExpr(T, F, Check.LockExpr);
@@ -696,12 +779,12 @@ Addr Machine::addrOfVar(ThreadCtx &T, Frame &F, const VarDecl *Var) {
 }
 
 Addr Machine::localAddr(ThreadCtx &T, Frame &F, const VarDecl *Var) {
-  (void)T;
   for (const auto &[Local, A] : F.Locals)
     if (Local == Var)
       return A;
-  Addr A = alloc(sizeInCells(Var->DeclType));
-  F.Locals.emplace_back(Var, A);
+  Addr A = allocFor(T, nullptr, sizeInCells(Var->DeclType));
+  if (A != 0)
+    F.Locals.emplace_back(Var, A);
   return A;
 }
 
@@ -726,7 +809,7 @@ Addr Machine::evalLValue(ThreadCtx &T, Frame &F, const Expr *E) {
       T.State = ThreadCtx::St::Failed;
       return 0;
     }
-    return static_cast<Addr>(P);
+    return inBounds(T, static_cast<Addr>(P), E) ? static_cast<Addr>(P) : 0;
   }
   case ExprKind::Member: {
     auto *Member = cast<MemberExpr>(E);
@@ -742,8 +825,11 @@ Addr Machine::evalLValue(ThreadCtx &T, Frame &F, const Expr *E) {
     } else {
       Base = static_cast<int64_t>(evalLValue(T, F, Member->Base));
     }
-    return static_cast<Addr>(Base) +
-           fieldOffset(Member->Field->Parent, Member->Field);
+    Addr A = static_cast<Addr>(Base) +
+             fieldOffset(Member->Field->Parent, Member->Field);
+    if (T.State == ThreadCtx::St::Failed)
+      return A;
+    return inBounds(T, A, E) ? A : 0;
   }
   case ExprKind::Index: {
     auto *Index = cast<IndexExpr>(E);
@@ -762,7 +848,12 @@ Addr Machine::evalLValue(ThreadCtx &T, Frame &F, const Expr *E) {
     }
     uint64_t ElemSize =
         BaseType && BaseType->Pointee ? sizeInCells(BaseType->Pointee) : 1;
-    return static_cast<Addr>(Base + Idx * static_cast<int64_t>(ElemSize));
+    // Unsigned, so a wild index wraps instead of overflowing.
+    Addr A = static_cast<Addr>(Base) +
+             static_cast<Addr>(Idx) * static_cast<Addr>(ElemSize);
+    if (T.State == ThreadCtx::St::Failed)
+      return A;
+    return inBounds(T, A, E) ? A : 0;
   }
   default:
     report(Violation::Kind::RuntimeError, T, 0, E, nullptr,
@@ -787,7 +878,9 @@ int64_t Machine::evalExpr(ThreadCtx &T, Frame &F, const Expr *E) {
     if (It != StringCache.end())
       return static_cast<int64_t>(It->second);
     const std::string &S = cast<StrLitExpr>(E)->Value;
-    Addr A = alloc(S.size() + 1);
+    Addr A = allocFor(T, E, S.size() + 1);
+    if (A == 0)
+      return 0;
     for (size_t I = 0; I != S.size(); ++I)
       Mem[A + I].V = static_cast<unsigned char>(S[I]);
     StringCache[E] = A;
@@ -806,6 +899,8 @@ int64_t Machine::evalExpr(ThreadCtx &T, Frame &F, const Expr *E) {
       return It->second;
     }
     Addr A = addrOfVar(T, F, Name->Var);
+    if (A == 0)
+      return 0;
     runChecks(T, F, E, A);
     return readCell(T, A, E);
   }
@@ -944,8 +1039,9 @@ int64_t Machine::evalExpr(ThreadCtx &T, Frame &F, const Expr *E) {
       Count = evalExpr(T, F, New->Count);
     if (Count < 1)
       Count = 1;
-    return static_cast<int64_t>(
-        alloc(static_cast<uint64_t>(Count) * sizeInCells(New->ElemType)));
+    uint64_t Cells =
+        mulCells(static_cast<uint64_t>(Count), sizeInCells(New->ElemType));
+    return static_cast<int64_t>(allocFor(T, E, Cells));
   }
   case ExprKind::Sizeof:
     return static_cast<int64_t>(
@@ -1105,9 +1201,9 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
       std::vector<unsigned> OptionTids(Waiters.size());
       for (size_t I = 0; I != Waiters.size(); ++I) {
         OptionTids[I] = 0;
-        for (const ThreadCtx &W : Threads)
-          if (W.Tid == Waiters[I] && W.State == ThreadCtx::St::WaitingCond)
-            OptionTids[I] = W.TraceTid;
+        for (const ThreadCtx *W : Live)
+          if (W->Tid == Waiters[I] && W->State == ThreadCtx::St::WaitingCond)
+            OptionTids[I] = W->TraceTid;
       }
       ChoicePoint CP{ChoiceKind::CondSignalPick, OptionTids.data(),
                      OptionTids.size()};
@@ -1119,21 +1215,21 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
         Idx = 0;
       }
       unsigned Tid = Waiters[Idx];
-      for (ThreadCtx &W : Threads)
-        if (W.Tid == Tid && W.State == ThreadCtx::St::WaitingCond) {
-          W.State = ThreadCtx::St::Runnable;
-          W.WaitCond = 0;
-          // W.ReacquireLock already holds the mutex to re-take.
+      for (ThreadCtx *W : Live)
+        if (W->Tid == Tid && W->State == ThreadCtx::St::WaitingCond) {
+          W->State = ThreadCtx::St::Runnable;
+          W->WaitCond = 0;
+          // W->ReacquireLock already holds the mutex to re-take.
         }
       Waiters.erase(Waiters.begin() + Idx);
       return true;
     }
     // Broadcast wakes everyone; no decision to make.
     for (unsigned Tid : Waiters)
-      for (ThreadCtx &W : Threads)
-        if (W.Tid == Tid && W.State == ThreadCtx::St::WaitingCond) {
-          W.State = ThreadCtx::St::Runnable;
-          W.WaitCond = 0;
+      for (ThreadCtx *W : Live)
+        if (W->Tid == Tid && W->State == ThreadCtx::St::WaitingCond) {
+          W->State = ThreadCtx::St::Runnable;
+          W->WaitCond = 0;
         }
     Waiters.clear();
     return true;
@@ -1264,6 +1360,8 @@ bool Machine::execCall(ThreadCtx &T, Frame &F, const CallExpr *Call,
   Frame &Pushed = T.Frames.back();
   for (size_t I = 0; I != Callee->Params.size() && I != Args.size(); ++I) {
     Addr A = localAddr(T, Pushed, Callee->Params[I]);
+    if (A == 0)
+      return true;
     setCellRaw(T, A, Args[I], Callee->Params[I]->DeclType->isPointer());
   }
   return true;
@@ -1275,15 +1373,14 @@ void Machine::returnFromFrame(ThreadCtx &T, int64_t Value, bool IsPtr) {
   // Locals die with the frame (the semantics zeroes a thread's cells at
   // exit; frames do the same so oneref never counts dead slots).
   for (auto &[Var, A] : Old.Locals) {
-    auto It = Objects.find(A);
-    if (It != Objects.end()) {
-      for (Addr C = It->first; C != It->first + It->second.Size; ++C) {
+    if (Object *O = objectAt(A)) {
+      for (Addr C = O->Start; C != O->Start + O->Size; ++C) {
         if (Mem[C].IsPtr)
           emit(TraceEvent::Kind::PtrStore, T, C, 0);
         Mem[C] = Cell{};
         schedNote(SchedNote::ImplicitWrite, T, C);
       }
-      It->second.Freed = true;
+      O->Freed = true;
     }
   }
   if (T.Frames.empty()) {
@@ -1293,6 +1390,8 @@ void Machine::returnFromFrame(ThreadCtx &T, int64_t Value, bool IsPtr) {
   Frame &Caller = T.Frames.back();
   if (Old.DestVar) {
     Addr A = localAddr(T, Caller, Old.DestVar);
+    if (A == 0)
+      return;
     storeCell(T, A, Value, IsPtr, nullptr);
   } else if (Old.DestLV) {
     Addr A = evalLValue(T, Caller, Old.DestLV);
@@ -1309,21 +1408,22 @@ unsigned Machine::allocateTid() {
     FreeTids.pop_back();
     return Tid;
   }
-  if (NextTid >= 63)
+  if (NextTid > MaxLiveThreads)
     return 0;
   return NextTid++;
 }
 
 ThreadCtx &Machine::spawnThread(const FuncDecl *F, int64_t Arg, bool HasArg) {
-  Threads.emplace_back();
-  ThreadCtx &T = Threads.back();
+  ThreadCtx &T = Threads.emplace_back();
+  Live.push_back(&T);
   T.Tid = allocateTid();
   T.TraceTid = NextTraceTid++;
   ++Result.Stats.ThreadsSpawned;
   if (T.Tid == 0) {
     Violation V;
     V.K = Violation::Kind::RuntimeError;
-    V.Detail = "thread limit (62 concurrent) exceeded";
+    V.Detail = "thread limit (" + std::to_string(MaxLiveThreads) +
+               " concurrent) exceeded";
     Result.Violations.push_back(V);
     emitConflict(Result.Violations.back(), &T);
     T.State = ThreadCtx::St::Failed;
@@ -1335,7 +1435,8 @@ ThreadCtx &Machine::spawnThread(const FuncDecl *F, int64_t Arg, bool HasArg) {
   T.Frames.push_back(std::move(NewFrame));
   if (HasArg && !F->Params.empty()) {
     Addr A = localAddr(T, T.Frames.back(), F->Params[0]);
-    setCellRaw(T, A, Arg, F->Params[0]->DeclType->isPointer());
+    if (A != 0)
+      setCellRaw(T, A, Arg, F->Params[0]->DeclType->isPointer());
   }
   return T;
 }
@@ -1362,10 +1463,10 @@ void Machine::threadExit(ThreadCtx &T) {
 }
 
 void Machine::wakeLockWaiters(Addr Lock) {
-  for (ThreadCtx &T : Threads)
-    if (T.State == ThreadCtx::St::BlockedLock && T.BlockLock == Lock) {
-      T.State = ThreadCtx::St::Runnable;
-      T.BlockLock = 0;
+  for (ThreadCtx *T : Live)
+    if (T->State == ThreadCtx::St::BlockedLock && T->BlockLock == Lock) {
+      T->State = ThreadCtx::St::Runnable;
+      T->BlockLock = 0;
     }
 }
 
@@ -1448,6 +1549,8 @@ void Machine::dispatchStmt(ThreadCtx &T, Frame &F, const Stmt *S) {
   case StmtKind::DeclStmt: {
     auto *Decl = cast<DeclStmt>(S);
     Addr A = localAddr(T, F, Decl->Var);
+    if (A == 0)
+      return;
     if (!Decl->Init) {
       setCellRaw(T, A, 0, Decl->Var->DeclType->isPointer());
       return;
@@ -1663,9 +1766,9 @@ void Machine::publishLive() {
       S.LockHoldUnits += Agg.HoldSteps;
     }
   }
-  for (const ThreadCtx &T : Threads)
-    if (T.State != ThreadCtx::St::Done && T.State != ThreadCtx::St::Failed)
-      ++S.ThreadsLive;
+  // The run loop drops finished threads from Live just before it calls
+  // this.
+  S.ThreadsLive = Live.size();
   S.ThreadsSpawned = Result.Stats.ThreadsSpawned;
   S.Steps = Result.Stats.Steps;
   S.Running = true;
@@ -1677,8 +1780,16 @@ InterpResult Machine::runImpl() {
     Options.Trace->clear();
   Mem.resize(1); // address 0 is the null cell, never used.
 
-  for (VarDecl *G : Prog.Globals)
-    Globals[G] = alloc(sizeInCells(G->DeclType));
+  for (VarDecl *G : Prog.Globals) {
+    Addr A = alloc(sizeInCells(G->DeclType));
+    if (A == 0) {
+      machineError("global '" + G->Name +
+                   "' is past the interpreter's limit of " +
+                   std::to_string(MaxCells) + " cells");
+      return std::move(Result);
+    }
+    Globals[G] = A;
+  }
 
   const FuncDecl *Entry = Prog.findFunc(Options.EntryPoint);
   if (!Entry)
@@ -1686,70 +1797,54 @@ InterpResult Machine::runImpl() {
   if (!Entry)
     Entry = Prog.findFunc("main_fn");
   if (!Entry || !Entry->Body) {
-    Violation V;
-    V.K = Violation::Kind::RuntimeError;
-    V.Detail = "no entry point '" + Options.EntryPoint + "'";
-    ++Result.TotalViolations;
-    Result.Violations.push_back(V);
-    emitConflict(Result.Violations.back(), nullptr);
+    machineError("no entry point '" + Options.EntryPoint + "'");
     return std::move(Result);
   }
   ThreadCtx &Main = spawnThread(Entry, 0, false);
   emit(TraceEvent::Kind::ThreadStart, Main, 0);
 
-  std::vector<size_t> Runnable;
+  std::vector<ThreadCtx *> Runnable;
   std::vector<unsigned> RunnableTids;
   while (Result.Stats.Steps < Options.MaxSteps) {
     Runnable.clear();
     RunnableTids.clear();
-    bool AnyLive = false;
-    for (size_t I = 0; I != Threads.size(); ++I) {
-      ThreadCtx &T = Threads[I];
-      switch (T.State) {
-      case ThreadCtx::St::Runnable:
-        Runnable.push_back(I);
-        RunnableTids.push_back(T.TraceTid);
-        AnyLive = true;
-        break;
-      case ThreadCtx::St::BlockedLock:
-      case ThreadCtx::St::WaitingCond:
-        AnyLive = true;
-        break;
-      case ThreadCtx::St::Done:
-      case ThreadCtx::St::Failed:
-        break;
+    // Done and Failed are final: drop those threads from Live for good.
+    size_t Kept = 0;
+    for (ThreadCtx *T : Live) {
+      if (T->State == ThreadCtx::St::Done)
+        continue;
+      if (T->State == ThreadCtx::St::Failed) {
+        AnyFailed = true;
+        continue;
       }
+      if (T->State == ThreadCtx::St::Runnable) {
+        Runnable.push_back(T);
+        RunnableTids.push_back(T->TraceTid);
+      }
+      Live[Kept++] = T;
     }
+    Live.resize(Kept);
     if (Runnable.empty()) {
-      if (!AnyLive) {
-        bool AnyFailed = false;
-        for (const ThreadCtx &T : Threads)
-          if (T.State == ThreadCtx::St::Failed)
-            AnyFailed = true;
+      if (Live.empty()) {
         Result.Completed = !AnyFailed;
       } else {
         Result.Deadlocked = true;
-        Violation V;
-        V.K = Violation::Kind::RuntimeError;
         // Structured stall report: name every blocked thread, what it
         // waits on, and (for locks) which thread holds it.
         std::string D = "deadlock: all live threads are blocked";
-        for (const ThreadCtx &T : Threads) {
-          if (T.State == ThreadCtx::St::BlockedLock) {
-            D += "; tid " + std::to_string(T.Tid) + " waits on lock " +
-                 std::to_string(T.BlockLock);
-            auto Holder = LockOwner.find(T.BlockLock);
+        for (const ThreadCtx *T : Live) {
+          if (T->State == ThreadCtx::St::BlockedLock) {
+            D += "; tid " + std::to_string(T->Tid) + " waits on lock " +
+                 std::to_string(T->BlockLock);
+            auto Holder = LockOwner.find(T->BlockLock);
             if (Holder != LockOwner.end())
               D += " held by tid " + std::to_string(Holder->second);
-          } else if (T.State == ThreadCtx::St::WaitingCond) {
-            D += "; tid " + std::to_string(T.Tid) + " waits on cond " +
-                 std::to_string(T.WaitCond);
+          } else if (T->State == ThreadCtx::St::WaitingCond) {
+            D += "; tid " + std::to_string(T->Tid) + " waits on cond " +
+                 std::to_string(T->WaitCond);
           }
         }
-        V.Detail = std::move(D);
-        ++Result.TotalViolations;
-        Result.Violations.push_back(V);
-        emitConflict(Result.Violations.back(), nullptr);
+        machineError(std::move(D));
       }
       return std::move(Result);
     }
@@ -1762,7 +1857,7 @@ InterpResult Machine::runImpl() {
       Result.ScheduleAborted = true;
       return std::move(Result);
     }
-    size_t Pick = Runnable[Idx];
+    ThreadCtx &Pick = *Runnable[Idx];
     ++Result.Stats.Steps;
     if (Options.Live) [[unlikely]] {
       if (Options.LivePollSteps == 0 ||
@@ -1775,7 +1870,7 @@ InterpResult Machine::runImpl() {
       // tests can pin that the crash hooks leave a readable trace.
       std::raise(SIGSEGV);
     }
-    step(Threads[Pick]);
+    step(Pick);
     if (PolicyHalt) {
       Result.PolicyHalted = true;
       return std::move(Result);
@@ -1786,12 +1881,7 @@ InterpResult Machine::runImpl() {
     }
   }
   Result.OutOfSteps = true;
-  Violation V;
-  V.K = Violation::Kind::RuntimeError;
-  V.Detail = "step budget exhausted (possible livelock)";
-  ++Result.TotalViolations;
-  Result.Violations.push_back(V);
-  emitConflict(Result.Violations.back(), nullptr);
+  machineError("step budget exhausted (possible livelock)");
   return std::move(Result);
 }
 

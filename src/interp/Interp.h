@@ -115,6 +115,12 @@ struct TraceEvent {
 /// Spawn tokens live far above any real cell address.
 constexpr uint64_t TraceTokenBase = uint64_t(1) << 40;
 
+/// Most threads that hold a thread id at once. Ids run from 1 to this
+/// and name a bit in each cell's 64-bit reader and writer sets; a spawn
+/// past the limit fails with a runtime error. The explorer's choice
+/// masks rely on it too: a scheduling offer lists only live threads.
+constexpr unsigned MaxLiveThreads = 62;
+
 /// Interpreter options.
 struct InterpOptions {
   uint64_t Seed = 1;          ///< Scheduler seed; same seed, same run.

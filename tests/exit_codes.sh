@@ -4,8 +4,10 @@
 #       torn trace writes)
 #   2 - usage errors (no input, unknown option, unreadable file,
 #       malformed policy selection)
-#   1 - static errors, and runtime violations in both report and
-#       fail-stop modes under the default abort policy
+#   1 - static errors, runtime violations in both report and
+#       fail-stop modes under the default abort policy, and runtime
+#       errors: accesses outside the interpreter's memory and
+#       allocations past its limit
 #   0 - clean check, clean run, and completed runs whose violations
 #       were permitted by --on-violation=continue/quarantine
 #
@@ -46,6 +48,10 @@ expect 2 "missing file" "$EXAMPLES/does_not_exist.mc"
 expect 1 "static error" --check "$FIXTURES/static_error.mc"
 expect 1 "runtime violation, report mode" --run --quiet "$EXAMPLES/race_demo.mc"
 expect 1 "runtime violation, fail-stop" --run --fail-stop --quiet "$EXAMPLES/race_demo.mc"
+expect 1 "index past memory" --run --quiet "$FIXTURES/oob_index.mc"
+expect 1 "pointer past memory" --run --quiet "$FIXTURES/oob_pointer.mc"
+expect 1 "new past the memory limit" --run --quiet "$FIXTURES/huge_new.mc"
+expect 1 "global past the memory limit" --run --quiet "$FIXTURES/huge_global.mc"
 expect 0 "clean check" --check --quiet "$EXAMPLES/locked_counter.mc"
 expect 0 "clean run" --run --quiet "$EXAMPLES/locked_counter.mc"
 

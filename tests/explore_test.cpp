@@ -25,6 +25,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace sharc;
 using namespace sharc::minic;
@@ -441,6 +444,94 @@ TEST(ExploreCountTest, GeneratedCorpusCountsArePinned) {
   EXPECT_EQ(Sum.StepsTotal, 259360u);
   EXPECT_EQ(Sum.MaxDepth, 512u);
   EXPECT_EQ(Digest, 8521226450469734832ull);
+}
+
+// Every shipped example and explore fixture, at 20 schedules under the
+// default per-schedule step cap. They cover what the generated corpus
+// does not: 65,536-step schedules, cond-var wake picks, rwlocks and
+// casts. A new program under either directory needs a row here.
+TEST(ExploreCountTest, ShippedProgramsCountsArePinned) {
+  struct Pin {
+    const char *Name;
+    uint64_t Runs, SleepBlocked, BranchesPruned, StepsTotal, MaxDepth;
+    const char *Verdicts;
+  };
+  const Pin Pins[] = {
+      {"bank_transfer.mc", 1, 0, 130956, 65536, 65536, "+out-of-steps"},
+      {"explore_indep.mc", 1, 0, 9, 13, 13, "clean"},
+      {"explore_locked.mc", 4, 1, 30, 91, 21, "clean"},
+      {"explore_race.mc", 6, 0, 10, 72, 12, "clean, write-conflict"},
+      {"locked_counter.mc", 1, 0, 131064, 65536, 65536, "+out-of-steps"},
+      {"pfscan_mini.mc", 15, 5, 1809062, 1009275, 65541, "+out-of-steps"},
+      {"pipeline_annotated.mc", 19, 1, 174, 4417, 226, "clean"},
+      {"pipeline_unannotated.mc", 19, 1, 65, 949, 52,
+       "clean, read-conflict, read-conflict+write-conflict"},
+      {"prof_tuning.mc", 17, 3, 17106, 62469, 3131, "clean"},
+      {"prof_tuning_tuned.mc", 17, 3, 17106, 62469, 3131, "clean"},
+      {"race_demo.mc", 1, 0, 65531, 65536, 65536, "+out-of-steps"},
+      {"readers_writers.mc", 1, 0, 196593, 65536, 65536, "+out-of-steps"},
+  };
+  std::vector<std::filesystem::path> Files;
+  auto Collect = [&Files](const char *Dir, const std::string &Prefix) {
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      if (E.path().extension() == ".mc" &&
+          E.path().filename().string().rfind(Prefix, 0) == 0)
+        Files.push_back(E.path());
+  };
+  Collect(SHARC_EXAMPLES_DIR, "");
+  Collect(SHARC_FIXTURES_DIR, "explore_");
+  std::sort(Files.begin(), Files.end(), [](const auto &A, const auto &B) {
+    return A.filename() < B.filename();
+  });
+  ASSERT_EQ(Files.size(), std::size(Pins));
+
+  ExploreOptions O;
+  O.MaxRuns = 20;
+  for (size_t I = 0; I != Files.size(); ++I) {
+    const Pin &P = Pins[I];
+    ASSERT_EQ(Files[I].filename().string(), P.Name);
+    std::ifstream In(Files[I]);
+    std::stringstream Source;
+    Source << In.rdbuf();
+    auto C = compile(Source.str());
+    ASSERT_TRUE(C->Ok) << P.Name << ": " << C->Diags->render();
+    ExploreResult R = exploreSrc(*C, O);
+    EXPECT_FALSE(R.Stats.InternalError) << P.Name;
+    EXPECT_EQ(R.Stats.Runs, P.Runs) << P.Name;
+    EXPECT_EQ(R.Stats.SleepBlocked, P.SleepBlocked) << P.Name;
+    EXPECT_EQ(R.Stats.BranchesPruned, P.BranchesPruned) << P.Name;
+    EXPECT_EQ(R.Stats.StepsTotal, P.StepsTotal) << P.Name;
+    EXPECT_EQ(R.Stats.MaxDepth, P.MaxDepth) << P.Name;
+    EXPECT_EQ(verdictList(R), P.Verdicts) << P.Name;
+  }
+}
+
+// main and 61 workers, as many live threads as a run allows: the
+// workers spin on a flag main sets last, so the choice points from the
+// last spawn until main exits offer 62 threads, the widest offer a
+// Node's Done and Backtrack masks hold.
+TEST(ExploreCountTest, SixtyTwoLiveThreadsCountsArePinned) {
+  std::string Source = "int racy go;\n"
+                       "void w(void) {\n"
+                       "  while (go == 0) { }\n"
+                       "}\n"
+                       "void main(void) {\n";
+  for (int I = 0; I != 61; ++I)
+    Source += "  spawn w();\n";
+  Source += "  go = 1;\n"
+            "}\n";
+  auto C = compile(Source);
+  ASSERT_TRUE(C->Ok) << C->Diags->render();
+  ExploreOptions O;
+  O.MaxRuns = 8;
+  ExploreResult R = exploreSrc(*C, O);
+  EXPECT_FALSE(R.Stats.InternalError);
+  EXPECT_EQ(R.Stats.Runs, 8u);
+  EXPECT_EQ(R.Stats.SleepBlocked, 0u);
+  EXPECT_EQ(R.Stats.BranchesPruned, 88396u);
+  EXPECT_EQ(R.Stats.StepsTotal, 4028u);
+  EXPECT_EQ(R.Stats.MaxDepth, 514u);
+  EXPECT_EQ(verdictList(R), "clean");
 }
 
 //===----------------------------------------------------------------------===//

@@ -232,6 +232,83 @@ TEST(LangTest, DivisionByZeroIsRuntimeError) {
   EXPECT_GE(R.count(Violation::Kind::RuntimeError), 1u);
 }
 
+namespace {
+
+// A program that must stop with one runtime error whose detail starts
+// with \p Detail: an access outside the allocated cells or an allocation
+// past the interpreter's cell limit is reported, never a host crash.
+void expectRuntimeError(const char *Source, const std::string &Detail) {
+  auto C = compile(Source);
+  ASSERT_TRUE(C->Ok) << C->Diags->render();
+  InterpResult R = C->Interpreter->run(InterpOptions());
+  EXPECT_FALSE(R.Completed);
+  ASSERT_EQ(R.Violations.size(), 1u);
+  EXPECT_EQ(R.Violations[0].K, Violation::Kind::RuntimeError);
+  EXPECT_EQ(R.Violations[0].Detail.rfind(Detail, 0), 0u)
+      << R.Violations[0].Detail;
+}
+
+} // namespace
+
+TEST(LangTest, IndexPastMemoryIsRuntimeError) {
+  expectRuntimeError("int g[4];\n"
+                     "void main(void) {\n"
+                     "  g[100000000] = 1;\n"
+                     "}\n",
+                     "out-of-bounds access");
+}
+
+TEST(LangTest, PointerPastMemoryIsRuntimeError) {
+  expectRuntimeError("void main(void) {\n"
+                     "  int private * p;\n"
+                     "  p = new int;\n"
+                     "  p = p + 5000000;\n"
+                     "  *p = 3;\n"
+                     "}\n",
+                     "out-of-bounds access");
+}
+
+TEST(LangTest, NewPastTheMemoryLimitIsRuntimeError) {
+  expectRuntimeError("void main(void) {\n"
+                     "  int private * p;\n"
+                     "  p = new int[100000000000];\n"
+                     "  *p = 1;\n"
+                     "}\n",
+                     "allocation past the interpreter's limit");
+}
+
+TEST(LangTest, GlobalPastTheMemoryLimitEndsTheRunAtStart) {
+  expectRuntimeError("int g[100000000000];\n"
+                     "void main(void) {\n"
+                     "  g[0] = 1;\n"
+                     "}\n",
+                     "global 'g' is past the interpreter's limit");
+}
+
+// main and 62 workers that spin until main lets them go: the last spawn
+// is one thread past the limit, so that thread fails at birth and the
+// run, though every other thread finishes, does not complete.
+TEST(LangTest, SpawnPastTheThreadLimitFailsThatThread) {
+  std::string Source = "int racy go;\n"
+                       "void w(void) {\n"
+                       "  while (go == 0) { }\n"
+                       "}\n"
+                       "void main(void) {\n";
+  for (int I = 0; I != 62; ++I)
+    Source += "  spawn w();\n";
+  Source += "  go = 1;\n"
+            "}\n";
+  auto C = compile(Source);
+  ASSERT_TRUE(C->Ok) << C->Diags->render();
+  InterpResult R = C->Interpreter->run(InterpOptions());
+  EXPECT_FALSE(R.Completed);
+  EXPECT_FALSE(R.Deadlocked);
+  EXPECT_FALSE(R.OutOfSteps);
+  EXPECT_EQ(R.Stats.ThreadsSpawned, 63u);
+  ASSERT_EQ(R.Violations.size(), 1u);
+  EXPECT_EQ(R.Violations[0].Detail, "thread limit (62 concurrent) exceeded");
+}
+
 TEST(LangTest, AddressOfLocalAndDerefAssignment) {
   auto C = compile("void bump(int private * p) { *p = *p + 1; }\n"
                    "void main(void) {\n"
