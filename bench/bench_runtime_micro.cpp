@@ -208,9 +208,9 @@ void BM_CountedStoreLp(benchmark::State &State) {
 }
 BENCHMARK(BM_CountedStoreLp);
 
-/// One counted slot per thread, a cache line apart, so the four slots
-/// fall in distinct DirtyTable shards. Slots on the threads' stacks often
-/// share one shard, and then every store contends for its mutex.
+/// One counted slot per thread, a cache line apart, so the four threads'
+/// stores share no cache line: each measures its own barrier, not
+/// another thread's writes to the line.
 alignas(64) void *OwnSlots[4][8];
 
 void BM_CountedStoreLpOwn(benchmark::State &State) {

@@ -62,13 +62,14 @@ echo "== sanitizers =="
 # recursion and frees) and its schedule explorer (whose race analysis
 # indexes steps by node number and whose nodes reuse their storage), and
 # the runtime: its concurrent internals (including stats snapshots taken
-# while threads count), the facade, profiling, reader-writer locks, the
-# stats endpoint, the guard layer, and the Table 1 workloads, each of
-# which runs the shadow and reference-count indexes on several threads.
+# while threads count), reference counting (racing barriers and count
+# reads against concurrent collections), the facade, profiling,
+# reader-writer locks, the stats endpoint, the guard layer, and the
+# Table 1 workloads, each of which runs the shadow and reference-count
+# indexes on several threads.
 # Any sanitizer report fails the run. The rest of the suite stays out of
 # these lanes for now: serve_test's timing-sensitive cases fail under
-# the sanitizers' slowdown without any report, and rt_refcount_test
-# carries the LP collector's count-mismatch flake.
+# the sanitizers' slowdown without any report.
 export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export TSAN_OPTIONS=halt_on_error=1
@@ -87,11 +88,11 @@ ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 san_lane "$BUILD/asan" \
   "$ASAN_FLAGS -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
-  rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
-  checker_test interp_test interp_lang_test explore_test workloads_test \
-  guard_test
+  rt_refcount_test rt_runtime_test rt_profile_test rt_rwlock_test \
+  stats_endpoint_test checker_test interp_test interp_lang_test \
+  explore_test workloads_test guard_test
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
-  racedet_test fuzz_test rt_internals_test rt_shadow_test \
+  racedet_test fuzz_test rt_internals_test rt_refcount_test rt_shadow_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
   checker_test interp_test interp_lang_test explore_test workloads_test \
   guard_test

@@ -249,9 +249,7 @@ std::vector<int64_t> replayRc(rt::RcMode Mode,
       Engine.storePtr(&Arena[Ev.Addr], static_cast<uintptr_t>(Ev.Value),
                       stateFor(Ev.Tid));
     else if (Ev.K == TraceEvent::Kind::CastQuery)
-      Counts.push_back(
-          Engine.getRefCount(static_cast<uintptr_t>(Ev.Addr),
-                             stateFor(Ev.Tid)));
+      Counts.push_back(Engine.getRefCount(static_cast<uintptr_t>(Ev.Addr)));
   }
   return Counts;
 }

@@ -37,8 +37,9 @@ enum class RcMode : uint8_t {
   /// This is the naive scheme the paper measures at "over 60%" overhead.
   Atomic,
   /// The paper's adaptation of Levanoni & Petrank's concurrent algorithm:
-  /// per-thread unsynchronized logs with dirty bits, double-buffered by
-  /// epoch, with the thread that needs a count acting as the collector.
+  /// per-thread unsynchronized logs, double-buffered by epoch, with a
+  /// per-slot dirty mark that points at the slot's entry, and the thread
+  /// that needs a count acting as the collector.
   LevanoniPetrank,
 };
 

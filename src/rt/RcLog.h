@@ -14,8 +14,9 @@
 /// The log is a linked list of fixed-size chunks so that entries never
 /// move: the owning thread appends with only a release store of the size
 /// counter, and other threads may scan it concurrently without locking
-/// (the collector scans the *live* epoch's log for the "dirty bit set
-/// again" case; conflict reports scan another thread's access log).
+/// (conflict reports scan another thread's access log). Because entries
+/// stay put, a slot's dirty mark can be the address of its update-log
+/// entry, which the collector reads while the owner keeps appending.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +32,7 @@ namespace sharc {
 namespace rt {
 
 /// Append-only chunked log. push() may only be called by the owning thread
-/// and forEach()/findOldFor() concurrently by any thread; clear() only once
+/// and forEach() concurrently by any thread; clear() only once
 /// no other thread can append or scan (the collector after the epoch
 /// handshake; the registry, under its lock, when the owner deregisters).
 template <typename EntryT> class ChunkedLog {
@@ -49,8 +50,9 @@ public:
   ChunkedLog(const ChunkedLog &) = delete;
   ChunkedLog &operator=(const ChunkedLog &) = delete;
 
-  /// Appends an entry (owner thread only).
-  void push(const EntryT &Entry) {
+  /// Appends an entry (owner thread only). \returns the stored entry,
+  /// which stays at its address until clear().
+  EntryT &push(const EntryT &Entry) {
     size_t N = Size.load(std::memory_order_relaxed);
     if (!Head) {
       Head = new Chunk();
@@ -60,8 +62,10 @@ public:
       Tail->Next.store(NewChunk, std::memory_order_release);
       Tail = NewChunk;
     }
-    Tail->Entries[N % ChunkSize] = Entry;
+    EntryT &Stored = Tail->Entries[N % ChunkSize];
+    Stored = Entry;
     Size.store(N + 1, std::memory_order_release);
+    return Stored;
   }
 
   bool empty() const { return Size.load(std::memory_order_acquire) == 0; }
@@ -82,19 +86,6 @@ public:
         C = C->Next.load(std::memory_order_acquire);
       Fn(C->Entries[I % ChunkSize]);
     }
-  }
-
-  /// \returns the Old value of the first entry for \p Slot, through
-  /// \p Found; false if no entry mentions the slot (update logs only).
-  bool findOldFor(uintptr_t Slot, uintptr_t &Found) const {
-    bool Hit = false;
-    forEach([&](const EntryT &E) {
-      if (!Hit && E.Slot == Slot) {
-        Found = E.Old;
-        Hit = true;
-      }
-    });
-    return Hit;
   }
 
   /// Drops all entries and returns chunks for reuse (see the class comment
@@ -141,6 +132,8 @@ private:
 };
 
 /// One logged reference update: the slot written and its previous value.
+/// A Slot of 0 marks a void entry: a store that lost the race to log its
+/// slot first in the epoch, which the collector skips.
 struct RcLogEntry {
   uintptr_t Slot = 0;
   uintptr_t Old = 0;

@@ -52,16 +52,26 @@ void RefCountEngine::storeLevanoniPetrank(uintptr_t *Slot, uintptr_t New,
   uintptr_t Old =
       std::atomic_ref<uintptr_t>(*Slot).load(std::memory_order_acquire);
   // Log only the first update of a slot per epoch ("an entry is only added
-  // the first time a reference is updated").
-  if (!Dirty.testAndSet(reinterpret_cast<uintptr_t>(Slot), E & 1))
-    TS.RcLogs[E & 1].push({reinterpret_cast<uintptr_t>(Slot), Old});
+  // the first time a reference is updated"). The mark that points at the
+  // entry is published after the entry is written, so a set mark always
+  // has its entry. A store that loses the race to mark the slot voids its
+  // own entry, which no collector reads before this barrier ends.
+  std::atomic<RcLogEntry *> &Mark =
+      Marks.insert(reinterpret_cast<uintptr_t>(Slot)).Logged[E & 1];
+  if (!Mark.load(std::memory_order_relaxed)) {
+    RcLogEntry &Entry =
+        TS.RcLogs[E & 1].push({reinterpret_cast<uintptr_t>(Slot), Old});
+    RcLogEntry *Clean = nullptr;
+    if (!Mark.compare_exchange_strong(Clean, &Entry, std::memory_order_release,
+                                      std::memory_order_relaxed))
+      Entry.Slot = 0;
+  }
   std::atomic_ref<uintptr_t>(*Slot).store(New, std::memory_order_release);
 
   TS.InBarrier.store(0, std::memory_order_release);
 }
 
-void RefCountEngine::collect(ThreadState &TS) {
-  (void)TS;
+void RefCountEngine::collect() {
   if (Config.Rc != RcMode::LevanoniPetrank)
     return;
   std::lock_guard<std::mutex> Lock(CollectorMutex);
@@ -77,8 +87,8 @@ void RefCountEngine::collectLocked() {
   // register/exit block briefly; threads running barriers do not.
   auto StructureLock = Registry.lockStructure();
 
-  // Flip the epoch: mutators start using the other set of logs and dirty
-  // bits ("the collector thread arranges for each thread to use the other
+  // Flip the epoch: mutators start using the other set of logs and marks
+  // ("the collector thread arranges for each thread to use the other
   // set of logs ... and waits for any pending updates to complete").
   uint32_t OldEpoch = Epoch.load(std::memory_order_acquire);
   uint32_t OldIndex = OldEpoch & 1;
@@ -94,45 +104,42 @@ void RefCountEngine::collectLocked() {
   // Pass 1: decrement the counts of all overwritten values.
   Registry.forEachStateUnlocked([&](ThreadState &S) {
     S.RcLogs[OldIndex].forEach([&](const RcLogEntry &Entry) {
-      if (Entry.Old)
+      if (Entry.Slot && Entry.Old)
         Table.add(Entry.Old, -1);
     });
   });
 
-  // Pass 2: increment the count of each logged slot's current value. If
-  // the slot has been dirtied again in the live epoch, its current value is
-  // unstable; instead increment the value recorded as overwritten in the
-  // live logs (it will be decremented when those logs are processed).
+  // Pass 2: increment the count of each logged slot's current value and
+  // clear its old mark. If the slot is marked again in the live epoch, its
+  // current value is unstable; count the old value the live entry recorded
+  // instead (that log decrements it later). The slot is loaded before the
+  // mark: a value stored in the live epoch was stored after its mark was
+  // set, and an older value is the old epoch's final one either way.
   Registry.forEachStateUnlocked([&](ThreadState &S) {
     S.RcLogs[OldIndex].forEach([&](const RcLogEntry &Entry) {
-      uintptr_t Current = 0;
-      if (Dirty.isDirty(Entry.Slot, NewIndex)) {
-        bool Found = false;
-        Registry.forEachStateUnlocked([&](ThreadState &S2) {
-          if (!Found)
-            Found = S2.RcLogs[NewIndex].findOldFor(Entry.Slot, Current);
-        });
-        if (!Found)
-          Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
-      } else {
-        Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
-      }
+      if (!Entry.Slot)
+        return;
+      uintptr_t Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
+      SlotMark &M = *Marks.find(Entry.Slot);
+      if (const RcLogEntry *Live =
+              M.Logged[NewIndex].load(std::memory_order_acquire))
+        Current = Live->Old;
+      M.Logged[OldIndex].store(nullptr, std::memory_order_relaxed);
       if (Current)
         Table.add(Current, +1);
     });
   });
 
-  // Drain old logs and dirty bits.
+  // Drain old logs.
   Registry.forEachStateUnlocked(
       [&](ThreadState &S) { S.RcLogs[OldIndex].clear(); });
-  Dirty.clearEpoch(OldIndex);
   Registry.purgeRetiredUnlocked();
 
   if (PostCollectHook)
     PostCollectHook(PostCollectCtx);
 }
 
-int64_t RefCountEngine::getRefCount(uintptr_t Value, ThreadState &TS) {
+int64_t RefCountEngine::getRefCount(uintptr_t Value) {
   if (Value == 0)
     return 0;
   switch (Config.Rc) {
@@ -141,7 +148,10 @@ int64_t RefCountEngine::getRefCount(uintptr_t Value, ThreadState &TS) {
   case RcMode::Atomic:
     return Table.get(Value);
   case RcMode::LevanoniPetrank: {
-    collect(TS);
+    // Read under the collector lock: another collection between its
+    // decrementing and incrementing passes would show a count too low.
+    std::lock_guard<std::mutex> Lock(CollectorMutex);
+    collectLocked();
     return Table.get(Value);
   }
   }

@@ -17,21 +17,25 @@
 ///    paper measured at "over 60%" overhead.
 ///  - LevanoniPetrank: the paper's adaptation of Levanoni & Petrank's
 ///    concurrent algorithm. Mutators append (slot, old-value) records to
-///    per-thread unsynchronized logs, at most once per slot per epoch
-///    (dirty bits). A thread that needs a count becomes the collector: it
-///    flips the epoch, waits for threads mid-barrier on the old epoch to
-///    drain (no stop-the-world), processes old logs (decrement overwritten
-///    values; increment each slot's current value, unless the slot was
-///    dirtied again in the live epoch, in which case the value recorded in
-///    the live logs is incremented instead), and clears the old dirty bits.
+///    per-thread unsynchronized logs, at most once per slot per epoch. A
+///    slot's dirty mark for an epoch is the address of the entry its first
+///    store in that epoch logged, published only once the entry is written.
+///    A thread that needs a count becomes the collector: it flips the
+///    epoch, waits for threads mid-barrier on the old epoch to drain (no
+///    stop-the-world), and processes the old logs: it decrements
+///    overwritten values and increments each slot's current value, unless
+///    the slot is marked again in the live epoch, in which case it
+///    increments the old value the live mark's entry recorded. It clears
+///    the old marks as it goes.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHARC_RT_REFCOUNT_H
 #define SHARC_RT_REFCOUNT_H
 
+#include "rt/AddrIndex.h"
 #include "rt/Config.h"
-#include "rt/DirtyTable.h"
+#include "rt/RcLog.h"
 #include "rt/RcTable.h"
 #include "rt/ThreadRegistry.h"
 
@@ -68,16 +72,26 @@ public:
   }
 
   /// \returns the number of counted references to \p Value. Under the
-  /// LevanoniPetrank engine this performs a collection first, so the
-  /// result reflects all barriers that completed before the call.
-  int64_t getRefCount(uintptr_t Value, ThreadState &TS);
+  /// LevanoniPetrank engine this performs a collection first and reads the
+  /// count under the same lock, so the result reflects all barriers that
+  /// completed before the call and no other collection's partial passes.
+  int64_t getRefCount(uintptr_t Value);
 
   /// Runs one collection cycle (LevanoniPetrank only; no-op otherwise).
-  void collect(ThreadState &TS);
+  void collect();
 
   RcMode getMode() const { return Config.Rc; }
   const RcTable &getTable() const { return Table; }
   uint64_t getNumCollections() const { return Collections.load(); }
+
+  /// Bytes one slot's dirty-mark entry allocates.
+  static constexpr size_t markEntryBytes() { return MarkIndex::entryBytes(); }
+
+  /// Bytes of counting metadata: the count table's entries and the slots'
+  /// dirty marks.
+  size_t memoryFootprint() const {
+    return Table.memoryFootprint() + Marks.getNumEntries() * markEntryBytes();
+  }
 
   /// Registers a callback run at the end of each collection while the
   /// collector lock is still held; the heap uses this to release deferred
@@ -89,13 +103,22 @@ public:
   }
 
 private:
+  /// A counted slot's dirty marks, one per epoch parity: the log entry
+  /// written by the slot's first store in that epoch, or null while the
+  /// slot is clean. A set mark always has its entry.
+  struct SlotMark {
+    std::atomic<RcLogEntry *> Logged[2] = {nullptr, nullptr};
+  };
+  using MarkIndex = AddrIndex<SlotMark>;
+
   void storeLevanoniPetrank(uintptr_t *Slot, uintptr_t New, ThreadState &TS);
   void collectLocked();
 
   const RuntimeConfig &Config;
   ThreadRegistry &Registry;
   RcTable Table;
-  DirtyTable Dirty;
+  /// Keyed by slot address.
+  MarkIndex Marks;
   std::atomic<uint32_t> Epoch{0};
   std::mutex CollectorMutex;
   /// Written only under CollectorMutex.

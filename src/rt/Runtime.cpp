@@ -480,7 +480,7 @@ bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
     return true;
   // After the source has been nulled and accounted, any remaining counted
   // reference means the object is reachable under its old mode: reject.
-  int64_t Count = Rc->getRefCount(reinterpret_cast<uintptr_t>(Obj), TS);
+  int64_t Count = Rc->getRefCount(reinterpret_cast<uintptr_t>(Obj));
   // Watchdog: a transient handoff may still hold a counted reference in
   // another thread. Poll the count down until the drain budget expires,
   // then file a stall report before the cast verdict (DESIGN.md §12).
@@ -490,7 +490,7 @@ bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
                     std::chrono::milliseconds(Config.Guard.WatchdogMillis);
     while (Count > 0 && std::chrono::steady_clock::now() < Deadline) {
       std::this_thread::yield();
-      Count = Rc->getRefCount(reinterpret_cast<uintptr_t>(Obj), TS);
+      Count = Rc->getRefCount(reinterpret_cast<uintptr_t>(Obj));
     }
     if (Count > 0)
       reportCastStall(Obj, Site, Count);
@@ -532,7 +532,7 @@ void Runtime::deallocate(void *Ptr) {
   // Bound the deferred-free backlog: a collection releases it.
   if (TheHeap->getNumDeferred() >= DeferredFreeThreshold) {
     if (Config.Rc == RcMode::LevanoniPetrank)
-      Rc->collect(currentThread());
+      Rc->collect();
     else
       TheHeap->releaseDeferred();
   }
@@ -553,7 +553,7 @@ StatsSnapshot Runtime::computeStats(const CounterTotals &Counts) {
   S.LockViolations = Sink.getTotalOfKind(ReportKind::LockViolation);
   S.CastErrors = Sink.getTotalOfKind(ReportKind::CastError);
   S.ShadowBytes = Shadow->getShadowBytes();
-  S.RcTableBytes = Rc->getTable().memoryFootprint();
+  S.RcTableBytes = Rc->memoryFootprint();
   Registry.forEachState([&](ThreadState &T) { S.LogBytes += T.logBytes(); });
   S.HeapPayloadBytes = TheHeap->getPayloadBytes();
   S.PeakHeapPayloadBytes = TheHeap->getPeakPayloadBytes();

@@ -203,8 +203,7 @@ public:
   /// \returns the number of counted references to \p Value; performs a
   /// collection first under the Levanoni-Petrank engine.
   int64_t refCount(const void *Value) {
-    return Rc->getRefCount(reinterpret_cast<uintptr_t>(Value),
-                           currentThread());
+    return Rc->getRefCount(reinterpret_cast<uintptr_t>(Value));
   }
 
   /// The sharing cast (Figure 7): nulls *Slot, then checks that no other

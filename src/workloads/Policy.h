@@ -212,8 +212,7 @@ struct SharcPolicy {
   /// logs naming a workload's counted slots are drained before the slots'
   /// storage is destroyed.
   static void quiesce() {
-    rt::Runtime &RT = rt::Runtime::get();
-    RT.getRc().collect(RT.currentThread());
+    rt::Runtime::get().getRc().collect();
   }
 };
 

@@ -6,17 +6,16 @@
 ///
 /// \file
 /// Unit and property tests for the runtime's internal data structures:
-/// the chunked RC logs (concurrent scan vs. append), the sharded dirty
-/// table, the address index behind the count table under stress, report
-/// formatting/dedup, the deferred-free heap, and concurrent shadow
-/// memory properties, including reports that read another thread's access
-/// log while it appends, and stats snapshots taken while the counted
-/// threads run.
+/// the chunked RC logs (concurrent scan vs. append), the address index
+/// behind the count table under stress and the bytes the counts and
+/// dirty marks report, report formatting/dedup, the deferred-free heap,
+/// and concurrent shadow memory properties, including reports that read
+/// another thread's access log while it appends, and stats snapshots
+/// taken while the counted threads run.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "obs/Sink.h"
-#include "rt/DirtyTable.h"
 #include "rt/RcLog.h"
 #include "rt/RcTable.h"
 #include "rt/Sharc.h"
@@ -74,19 +73,6 @@ TEST(RcLogTest, SpansMultipleChunks) {
   EXPECT_GT(Log.memoryFootprint(), 3 * 256 * sizeof(RcLogEntry));
 }
 
-TEST(RcLogTest, FindOldForReturnsFirstEntry) {
-  RcLog Log;
-  Log.push({0x10, 1});
-  Log.push({0x20, 2});
-  Log.push({0x10, 3}); // would only happen under racy writes; first wins
-  uintptr_t Found = 0;
-  EXPECT_TRUE(Log.findOldFor(0x10, Found));
-  EXPECT_EQ(Found, 1u);
-  EXPECT_TRUE(Log.findOldFor(0x20, Found));
-  EXPECT_EQ(Found, 2u);
-  EXPECT_FALSE(Log.findOldFor(0x30, Found));
-}
-
 TEST(RcLogTest, ClearKeepsFirstChunkAndResets) {
   RcLog Log;
   for (uintptr_t I = 0; I != 600; ++I)
@@ -95,15 +81,13 @@ TEST(RcLogTest, ClearKeepsFirstChunkAndResets) {
   EXPECT_TRUE(Log.empty());
   Log.push({7, 8});
   EXPECT_EQ(Log.size(), 1u);
-  uintptr_t Found = 0;
-  EXPECT_TRUE(Log.findOldFor(7, Found));
-  EXPECT_EQ(Found, 8u);
 }
 
 TEST(RcLogTest, ConcurrentScanSeesPrefix) {
-  // The collector may scan the live log while the owner appends; the scan
-  // must see a consistent prefix (no torn entries, no crashes). Scanning
-  // starts before the first push, which allocates the first chunk.
+  // A conflict report may scan another thread's access log while the
+  // owner appends; the scan must see a consistent prefix (no torn
+  // entries, no crashes). Scanning starts before the first push, which
+  // allocates the first chunk.
   RcLog Log;
   std::atomic<bool> Scanning{false};
   std::atomic<bool> Done{false};
@@ -133,65 +117,6 @@ TEST(RcLogTest, ConcurrentScanSeesPrefix) {
   Owner.join();
   ScanOnce();
   EXPECT_EQ(Log.size(), 100000u);
-}
-
-//===----------------------------------------------------------------------===//
-// DirtyTable
-//===----------------------------------------------------------------------===//
-
-TEST(DirtyTableTest, TestAndSetPerEpoch) {
-  DirtyTable Table;
-  EXPECT_FALSE(Table.testAndSet(0x1000, 0));
-  EXPECT_TRUE(Table.testAndSet(0x1000, 0)); // now dirty in epoch 0
-  EXPECT_FALSE(Table.testAndSet(0x1000, 1)); // epoch 1 independent
-  EXPECT_TRUE(Table.isDirty(0x1000, 0));
-  EXPECT_TRUE(Table.isDirty(0x1000, 1));
-  EXPECT_FALSE(Table.isDirty(0x2000, 0));
-}
-
-TEST(DirtyTableTest, ClearEpochIsSelective) {
-  DirtyTable Table;
-  Table.testAndSet(0x10, 0);
-  Table.testAndSet(0x10, 1);
-  Table.testAndSet(0x20, 0);
-  Table.clearEpoch(0);
-  EXPECT_FALSE(Table.isDirty(0x10, 0));
-  EXPECT_TRUE(Table.isDirty(0x10, 1));
-  EXPECT_FALSE(Table.isDirty(0x20, 0));
-  // Slot 0x20 fully clean: erased.
-  EXPECT_FALSE(Table.testAndSet(0x20, 0));
-}
-
-TEST(DirtyTableTest, ManySlotsAcrossShards) {
-  DirtyTable Table;
-  for (uintptr_t I = 0; I != 10000; ++I)
-    EXPECT_FALSE(Table.testAndSet(I * 8, I & 1));
-  for (uintptr_t I = 0; I != 10000; ++I)
-    EXPECT_TRUE(Table.isDirty(I * 8, I & 1));
-  EXPECT_GT(Table.memoryFootprint(), 10000u * 8);
-  Table.clearEpoch(0);
-  Table.clearEpoch(1);
-  for (uintptr_t I = 0; I != 10000; ++I)
-    EXPECT_FALSE(Table.isDirty(I * 8, I & 1));
-}
-
-TEST(DirtyTableTest, ConcurrentTestAndSetExactlyOneWinner) {
-  // For each slot, exactly one of N racing testAndSet calls must observe
-  // "was clean" -- that is what keeps RC logs duplicate-free.
-  DirtyTable Table;
-  constexpr unsigned NumThreads = 4;
-  constexpr unsigned NumSlots = 2000;
-  std::atomic<unsigned> Winners{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&] {
-      for (uintptr_t Slot = 0; Slot != NumSlots; ++Slot)
-        if (!Table.testAndSet(Slot * 8, 0))
-          Winners.fetch_add(1);
-    });
-  for (auto &T : Threads)
-    T.join();
-  EXPECT_EQ(Winners.load(), NumSlots);
 }
 
 //===----------------------------------------------------------------------===//
@@ -270,21 +195,52 @@ TEST(RcTableStressTest, RacingInsertsOfOneValueMakeOneEntry) {
 }
 
 TEST(RcTableStressTest, StatsCountOneEntryPerDistinctValue) {
+  {
+    RuntimeConfig Config;
+    Config.Rc = RcMode::Atomic; // counts land at the store, not a collection
+    RuntimeGuard Guard(Config);
+    Runtime &RT = Runtime::get();
+    EXPECT_EQ(RT.getStats().RcTableBytes, 0u);
+    void *A = RT.allocate(32);
+    void *B = RT.allocate(32);
+    void *Slot = nullptr;
+    RT.rcInitSlot(&Slot);
+    RT.rcStore(&Slot, A);
+    EXPECT_EQ(RT.getStats().RcTableBytes, RcTable::entryBytes());
+    RT.rcStore(&Slot, B);
+    RT.rcStore(&Slot, A);
+    EXPECT_EQ(RT.getStats().RcTableBytes, 2 * RcTable::entryBytes());
+    RT.rcStore(&Slot, nullptr);
+    RT.deallocate(A);
+    RT.deallocate(B);
+  }
+  // Levanoni-Petrank: each counted slot also holds one dirty-mark entry,
+  // made at its first store; counts land at the next collection.
   RuntimeConfig Config;
-  Config.Rc = RcMode::Atomic; // counts land at the store, not a collection
+  Config.Rc = RcMode::LevanoniPetrank;
   RuntimeGuard Guard(Config);
   Runtime &RT = Runtime::get();
   EXPECT_EQ(RT.getStats().RcTableBytes, 0u);
   void *A = RT.allocate(32);
   void *B = RT.allocate(32);
-  void *Slot = nullptr;
-  RT.rcInitSlot(&Slot);
-  RT.rcStore(&Slot, A);
-  EXPECT_EQ(RT.getStats().RcTableBytes, RcTable::entryBytes());
-  RT.rcStore(&Slot, B);
-  RT.rcStore(&Slot, A);
-  EXPECT_EQ(RT.getStats().RcTableBytes, 2 * RcTable::entryBytes());
-  RT.rcStore(&Slot, nullptr);
+  void *Slot1 = nullptr, *Slot2 = nullptr;
+  RT.rcInitSlot(&Slot1);
+  RT.rcInitSlot(&Slot2);
+  RT.rcStore(&Slot1, A);
+  EXPECT_EQ(RT.getStats().RcTableBytes, RefCountEngine::markEntryBytes());
+  RT.rcStore(&Slot1, B);
+  RT.rcStore(&Slot2, A);
+  EXPECT_EQ(RT.getStats().RcTableBytes, 2 * RefCountEngine::markEntryBytes());
+  RT.getRc().collect();
+  EXPECT_EQ(RT.getStats().RcTableBytes,
+            2 * RefCountEngine::markEntryBytes() + 2 * RcTable::entryBytes());
+  // Marks are kept across epochs: a slot stored again adds none.
+  RT.rcStore(&Slot1, A);
+  RT.getRc().collect();
+  EXPECT_EQ(RT.getStats().RcTableBytes,
+            2 * RefCountEngine::markEntryBytes() + 2 * RcTable::entryBytes());
+  RT.rcStore(&Slot1, nullptr);
+  RT.rcStore(&Slot2, nullptr);
   RT.deallocate(A);
   RT.deallocate(B);
 }

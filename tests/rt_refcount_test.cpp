@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Tests for Sections 4.2.3 and 4.3: the count table, the atomic engine,
-/// the adapted Levanoni-Petrank engine (logs, dirty bits, epoch flips,
-/// re-dirtied slots), sharing casts, and a concurrent property test that
-/// compares LP counts against an oracle.
+/// the adapted Levanoni-Petrank engine (logs, dirty marks, epoch flips,
+/// slots marked again in the live epoch, racing first stores, count reads
+/// during other collections), sharing casts, and a concurrent property
+/// test that compares LP counts against an oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <latch>
+#include <thread>
 #include <vector>
 
 using namespace sharc;
@@ -196,7 +200,7 @@ TEST(LevanoniPetrankTest, CollectionDrainsLogs) {
   RT.rcStore(&Slot, A);
   ThreadState &TS = RT.currentThread();
   EXPECT_EQ(TS.RcLogs[0].size() + TS.RcLogs[1].size(), 1u);
-  RT.getRc().collect(TS);
+  RT.getRc().collect();
   EXPECT_EQ(TS.RcLogs[0].size() + TS.RcLogs[1].size(), 0u);
   // The count survives the drain.
   EXPECT_EQ(RT.refCount(A), 1);
@@ -211,7 +215,7 @@ TEST(LevanoniPetrankTest, CountsSurviveManyEpochFlips) {
   RT.rcInitSlot(&Slot);
   RT.rcStore(&Slot, A);
   for (int I = 0; I != 10; ++I)
-    RT.getRc().collect(RT.currentThread());
+    RT.getRc().collect();
   EXPECT_EQ(RT.refCount(A), 1);
   RT.deallocate(A);
 }
@@ -224,8 +228,8 @@ TEST(LevanoniPetrankTest, StoresSpanningEpochsStayExact) {
   void *Slot = nullptr;
   RT.rcInitSlot(&Slot);
   RT.rcStore(&Slot, A);
-  RT.getRc().collect(RT.currentThread()); // A counted.
-  RT.rcStore(&Slot, B);                   // logged in new epoch: old = A
+  RT.getRc().collect(); // A counted.
+  RT.rcStore(&Slot, B); // logged in new epoch: old = A
   EXPECT_EQ(RT.refCount(B), 1);
   EXPECT_EQ(RT.refCount(A), 0);
   RT.deallocate(A);
@@ -285,7 +289,7 @@ TEST(LevanoniPetrankTest, ConcurrentMutatorsMatchOracle) {
     });
   // Concurrent collections while mutators run.
   for (int I = 0; I != 20; ++I)
-    RT.getRc().collect(RT.currentThread());
+    RT.getRc().collect();
   for (Thread &T : Threads)
     T.join();
 
@@ -301,6 +305,121 @@ TEST(LevanoniPetrankTest, ConcurrentMutatorsMatchOracle) {
     RT.deallocate(Obj);
 }
 
+TEST(LevanoniPetrankTest, CountReadDuringOtherCollectionsIsExact) {
+  // One slot holds O throughout while a thread keeps storing O again, so
+  // every epoch logs the slot, and two threads keep collecting while this
+  // one reads O's count. A read taken between another collection's
+  // decrementing and incrementing passes would see 0.
+  RuntimeGuard Guard(configFor(RcMode::LevanoniPetrank));
+  Runtime &RT = Runtime::get();
+  constexpr int NumCollectors = 2;
+  constexpr int NumReads = 10000;
+  void *O = RT.allocate(32);
+  void *Slot = nullptr;
+  RT.rcInitSlot(&Slot);
+  RT.rcStore(&Slot, O);
+  std::atomic<bool> Done{false};
+  std::vector<Thread> Threads;
+  Threads.emplace_back([&] {
+    while (!Done.load(std::memory_order_relaxed))
+      RT.rcStore(&Slot, O);
+  });
+  for (int T = 0; T != NumCollectors; ++T)
+    Threads.emplace_back([&] {
+      while (!Done.load(std::memory_order_relaxed))
+        RT.getRc().collect();
+    });
+  int Wrong = 0;
+  for (int I = 0; I != NumReads; ++I)
+    Wrong += RT.refCount(O) != 1;
+  Done.store(true, std::memory_order_relaxed);
+  for (Thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Wrong, 0) << "of " << NumReads << " reads";
+  RT.rcStore(&Slot, nullptr);
+  RT.deallocate(O);
+}
+
+// The next two tests drive a standalone engine and registry, as the
+// fuzzer's reference-count oracle does, so they control which state runs
+// which barrier.
+
+TEST(LpEngineTest, RacingFirstStoresLogEachSlotOnce) {
+  // Four threads store to the same fresh slots in one epoch, so the first
+  // stores of each slot race: one entry per slot stays in the logs, the
+  // losers' entries are void, and a collection counts exactly.
+  constexpr unsigned NumThreads = 4;
+  constexpr size_t NumSlots = 10000;
+  RuntimeConfig Config = configFor(RcMode::LevanoniPetrank);
+  ThreadRegistry Registry(Config.maxThreads());
+  RefCountEngine Engine(Config, Registry);
+  std::vector<uintptr_t> Slots(NumSlots, 0);
+  auto valueOf = [](unsigned T) -> uintptr_t { return 0x1000 * (T + 1); };
+  std::vector<ThreadState *> States;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    States.push_back(Registry.registerThread());
+
+  std::latch Start(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      for (uintptr_t &Slot : Slots)
+        Engine.storePtr(&Slot, valueOf(T), *States[T]);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  std::vector<unsigned> Entries(NumSlots, 0);
+  size_t NonzeroOld = 0;
+  for (ThreadState *S : States)
+    S->RcLogs[0].forEach([&](const RcLogEntry &E) {
+      if (!E.Slot)
+        return;
+      ++Entries[(E.Slot - reinterpret_cast<uintptr_t>(Slots.data())) /
+                sizeof(uintptr_t)];
+      NonzeroOld += E.Old != 0;
+    });
+  EXPECT_EQ(size_t(std::count(Entries.begin(), Entries.end(), 1u)), NumSlots);
+  EXPECT_EQ(NonzeroOld, 0u);
+
+  Engine.collect();
+  for (unsigned T = 0; T != NumThreads; ++T)
+    EXPECT_EQ(Engine.getTable().get(valueOf(T)),
+              std::count(Slots.begin(), Slots.end(), valueOf(T)))
+        << "thread " << T;
+}
+
+TEST(LpEngineTest, CollectionHeldInHandshakeCountsTheLiveEntry) {
+  // State D claims to be mid-barrier in epoch 0, so a collection flips to
+  // epoch 1 and waits. Meanwhile M stores the slot again, logging A, the
+  // slot's epoch-0 value, in epoch 1, and then stores B. The held
+  // collection must count A, not the slot's current B; the next one moves
+  // the count to B.
+  RuntimeConfig Config = configFor(RcMode::LevanoniPetrank);
+  ThreadRegistry Registry(Config.maxThreads());
+  RefCountEngine Engine(Config, Registry);
+  ThreadState &M = *Registry.registerThread();
+  ThreadState &D = *Registry.registerThread();
+  constexpr uintptr_t A = 0x1000, B = 0x2000;
+  uintptr_t Slot = 0;
+  Engine.storePtr(&Slot, A, M);
+  D.InBarrier.store(1);
+  std::thread Collector([&] { Engine.collect(); });
+  while (M.RcLogs[1].size() != 1) {
+    Engine.storePtr(&Slot, A, M);
+    std::this_thread::yield();
+  }
+  Engine.storePtr(&Slot, B, M);
+  D.InBarrier.store(0);
+  Collector.join();
+  EXPECT_EQ(Engine.getTable().get(A), 1);
+  EXPECT_EQ(Engine.getTable().get(B), 0);
+  Engine.collect();
+  EXPECT_EQ(Engine.getTable().get(A), 0);
+  EXPECT_EQ(Engine.getTable().get(B), 1);
+}
+
 TEST(HeapTest, DeferredFreeReleasesAfterCollection) {
   RuntimeGuard Guard(configFor(RcMode::LevanoniPetrank));
   Runtime &RT = Runtime::get();
@@ -310,7 +429,7 @@ TEST(HeapTest, DeferredFreeReleasesAfterCollection) {
   // Payload accounting drops immediately even though physical free is
   // deferred to the next collection.
   EXPECT_LT(RT.getStats().HeapPayloadBytes, PayloadBefore);
-  RT.getRc().collect(RT.currentThread());
+  RT.getRc().collect();
 }
 
 TEST(HeapTest, AllocationsAreGranuleAligned) {
