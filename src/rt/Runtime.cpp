@@ -20,17 +20,8 @@ using namespace sharc::rt;
 
 namespace {
 
-/// The global runtime instance and its generation counter.
-Runtime *GlobalRuntime = nullptr;
+/// The next runtime's generation; 0 is never one.
 uint64_t NextGeneration = 1;
-
-/// Cached per-thread registration: valid only while Generation matches the
-/// live runtime's.
-struct ThreadCache {
-  uint64_t Generation = 0;
-  ThreadState *State = nullptr;
-};
-thread_local ThreadCache TlsCache;
 
 /// Deferred-free backlog size that forces a collection to release memory.
 constexpr size_t DeferredFreeThreshold = 1u << 14;
@@ -169,29 +160,20 @@ void Runtime::rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
 }
 
 void Runtime::init(const RuntimeConfig &Config) {
-  assert(!GlobalRuntime && "runtime already initialized");
-  GlobalRuntime = new Runtime(Config);
+  assert(!Global && "runtime already initialized");
+  Global = new Runtime(Config);
 }
 
 void Runtime::shutdown() {
-  assert(GlobalRuntime && "no live runtime");
+  assert(Global && "no live runtime");
   // Implicitly deregister the calling thread if it is registered.
-  if (TlsCache.Generation == GlobalRuntime->Generation && TlsCache.State)
-    GlobalRuntime->deregisterCurrentThread();
-  delete GlobalRuntime;
-  GlobalRuntime = nullptr;
+  if (TlsCache.Generation == Global->Generation)
+    Global->deregisterCurrentThread();
+  delete Global;
+  Global = nullptr;
 }
 
-Runtime &Runtime::get() {
-  assert(GlobalRuntime && "Runtime::init() has not been called");
-  return *GlobalRuntime;
-}
-
-bool Runtime::isLive() { return GlobalRuntime != nullptr; }
-
-ThreadState &Runtime::currentThread() {
-  if (TlsCache.Generation == Generation && TlsCache.State)
-    return *TlsCache.State;
+ThreadState &Runtime::registerCurrentThread() {
   ThreadState *State = Registry.registerThread();
   if (profilingEnabled())
     State->Prof = std::make_unique<ThreadProfile>(Config.ProfileSampleShift);
@@ -201,7 +183,7 @@ ThreadState &Runtime::currentThread() {
 }
 
 void Runtime::deregisterCurrentThread() {
-  if (TlsCache.Generation != Generation || !TlsCache.State)
+  if (TlsCache.Generation != Generation)
     return;
   ThreadState *State = TlsCache.State;
   // Retiring is the drain point for the thread's profile: its records

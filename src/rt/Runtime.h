@@ -39,7 +39,7 @@
 #include "rt/ThreadRegistry.h"
 
 #include <atomic>
-
+#include <cassert>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,16 +61,24 @@ public:
   static void shutdown();
 
   /// \returns the live global runtime; asserts if none.
-  static Runtime &get();
+  static Runtime &get() {
+    assert(Global && "Runtime::init() has not been called");
+    return *Global;
+  }
 
-  static bool isLive();
+  static bool isLive() { return Global != nullptr; }
 
   //===--------------------------------------------------------------------===
   // Threads
   //===--------------------------------------------------------------------===
 
   /// \returns this thread's state, registering it on first use.
-  ThreadState &currentThread();
+  ThreadState &currentThread() {
+    // Generation is never 0, the cache's value while it holds no state.
+    if (TlsCache.Generation == Generation) [[likely]]
+      return *TlsCache.State;
+    return registerCurrentThread();
+  }
 
   /// Deregisters the calling thread: clears its shadow bits and releases
   /// its id for reuse.
@@ -257,6 +265,19 @@ public:
 private:
   explicit Runtime(const RuntimeConfig &Config);
   ~Runtime();
+
+  /// The calling thread's registration: valid only while Generation
+  /// matches the live runtime's.
+  struct ThreadCache {
+    uint64_t Generation;
+    ThreadState *State;
+  };
+  static inline thread_local constinit ThreadCache TlsCache{0, nullptr};
+  /// The global runtime instance.
+  static inline Runtime *Global = nullptr;
+
+  /// Registers the calling thread and fills its cache (out of line).
+  ThreadState &registerCurrentThread();
 
   /// Out-of-line cold path: forwards one access event to Config.Obs.
   void publishAccess(obs::EventKind K, const void *Addr, size_t Size,

@@ -6,164 +6,226 @@
 
 #include "rt/ShadowMemory.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 using namespace sharc::rt;
 
-/// Shadow for one 4 KiB page of application address space. Cells is a raw
-/// byte array holding one little-endian shadow word of
-/// Config.ShadowBytesPerGranule bytes per granule, zeroed at creation.
+/// Shadow for one 4 KiB page of application address space: WordsPerPage
+/// 64-bit words of lanes, zeroed at creation.
 struct ShadowMemory::Page {
-  explicit Page(size_t CellBytes)
-      : Cells(std::make_unique<uint8_t[]>(CellBytes)) {}
-  std::unique_ptr<uint8_t[]> Cells;
+  explicit Page(size_t Words) : Cells(std::make_unique<uint64_t[]>(Words)) {}
+  std::unique_ptr<uint64_t[]> Cells;
 };
 
 ShadowMemory::ShadowMemory(const RuntimeConfig &Config, ReportSink &Sink,
                            ThreadRegistry &Registry)
-    : Config(Config), Sink(Sink), Registry(Registry) {
-  assert(Config.GranuleShift >= 2 && Config.GranuleShift <= PageShift &&
+    : Config(Config), Sink(Sink), Registry(Registry),
+      GranuleShift(Config.GranuleShift),
+      GranuleMask((uintptr_t(1) << Config.GranuleShift) - 1) {
+  assert(GranuleShift >= 2 && GranuleShift <= PageShift &&
          "granule must be between 4 bytes and one page");
-  [[maybe_unused]] unsigned N = Config.ShadowBytesPerGranule;
-  assert((N == 1 || N == 2 || N == 4 || N == 8) &&
+  unsigned LaneBits = 8 * Config.ShadowBytesPerGranule;
+  assert((LaneBits == 8 || LaneBits == 16 || LaneBits == 32 ||
+          LaneBits == 64) &&
          "shadow word must be 1, 2, 4 or 8 bytes");
-  CellBytes = (PageBytes >> Config.GranuleShift) * N;
+  LaneShift = static_cast<unsigned>(std::countr_zero(LaneBits));
+  LanesLog = 6 - LaneShift;
+  LaneMask = ~uint64_t(0) >> (64 - LaneBits);
+  LaneLow = ~uint64_t(0) / LaneMask;
+  LaneHigh = LaneLow << (LaneBits - 1);
+  size_t Granules = PageBytes >> GranuleShift;
+  WordsPerPage = (Granules + (size_t(1) << LanesLog) - 1) >> LanesLog;
 }
 
 ShadowMemory::~ShadowMemory() = default;
 
 uint64_t ShadowMemory::getShadowBytes() const {
-  return Pages.getNumEntries() * (CellBytes + Pages.entryBytes());
+  return Pages.getNumEntries() *
+         (WordsPerPage * sizeof(uint64_t) + Pages.entryBytes());
 }
 
-ShadowMemory::Page *ShadowMemory::lookupPage(uintptr_t PageBase) const {
-  return Pages.find(PageBase >> PageShift);
+uint64_t *ShadowMemory::cellsFor(ThreadState &TS, uintptr_t PageNumber) {
+  if (PageNumber != TS.ShadowPage) {
+    TS.ShadowCells = Pages.insert(PageNumber, WordsPerPage).Cells.get();
+    TS.ShadowPage = PageNumber;
+  }
+  return TS.ShadowCells;
 }
 
-ShadowMemory::Page *ShadowMemory::getOrCreatePage(uintptr_t PageBase) {
-  return &Pages.insert(PageBase >> PageShift, CellBytes);
+uint64_t *ShadowMemory::findCells(uintptr_t PageNumber) const {
+  Page *P = Pages.find(PageNumber);
+  return P ? P->Cells.get() : nullptr;
 }
 
-namespace {
-
-/// Iterates the granules overlapping [Addr, Addr+Size), invoking
-/// Fn(PageBase, GranuleIndexInPage, GranuleAddr) for each.
-template <typename FnT>
-void forEachGranule(uintptr_t Addr, size_t Size, unsigned GranuleShift,
-                    unsigned PageShift, FnT Fn) {
+template <typename PageFnT, typename WordFnT>
+void ShadowMemory::forEachWord(uintptr_t Addr, size_t Size, PageFnT PageFn,
+                               WordFnT Fn) const {
   if (Size == 0)
     Size = 1;
-  uintptr_t GranuleSize = uintptr_t(1) << GranuleShift;
-  uintptr_t First = Addr & ~(GranuleSize - 1);
-  uintptr_t Last = (Addr + Size - 1) & ~(GranuleSize - 1);
-  for (uintptr_t G = First;; G += GranuleSize) {
-    uintptr_t PageBase = G & ~((uintptr_t(1) << PageShift) - 1);
-    size_t Index = (G - PageBase) >> GranuleShift;
-    Fn(PageBase, Index, G);
-    if (G == Last)
-      break;
+  const unsigned PageLog = PageShift - GranuleShift; // granules per page
+  const uintptr_t Lanes = uintptr_t(1) << LanesLog;
+  uintptr_t G = Addr >> GranuleShift;
+  const uintptr_t Last = (Addr + Size - 1) >> GranuleShift;
+  while (true) {
+    uintptr_t PageNumber = G >> PageLog;
+    uintptr_t PageLast =
+        std::min(Last, ((PageNumber + 1) << PageLog) - 1);
+    if (uint64_t *Cells = PageFn(PageNumber)) {
+      for (uintptr_t W = G; W <= PageLast;) {
+        uintptr_t Index = W & ((uintptr_t(1) << PageLog) - 1);
+        unsigned FirstLane = static_cast<unsigned>(Index & (Lanes - 1));
+        uintptr_t End = std::min(PageLast, W - FirstLane + Lanes - 1);
+        Fn(Cells[Index >> LanesLog],
+           laneSel(FirstLane, FirstLane + static_cast<unsigned>(End - W)),
+           (W - FirstLane) << GranuleShift);
+        W = End + 1;
+      }
+    }
+    if (PageLast == Last)
+      return;
+    G = PageLast + 1;
   }
 }
 
-template <typename WordT> WordT loadWord(uint8_t *Cells, size_t Index) {
-  return std::atomic_ref<WordT>(reinterpret_cast<WordT *>(Cells)[Index])
-      .load(std::memory_order_acquire);
-}
-
-} // namespace
-
-template <typename WordT>
-bool ShadowMemory::checkAccessImpl(uintptr_t Addr, size_t Size, bool IsWrite,
-                                   ThreadState &TS, const AccessSite *Site) {
-  const WordT WriterBit = 1;
-  const WordT OwnBit = WordT(1) << TS.Tid;
+bool ShadowMemory::checkRange(uintptr_t Addr, size_t Size, bool IsWrite,
+                              ThreadState &TS, const AccessSite *Site,
+                              uint64_t Logged) {
   bool Ok = true;
-
-  forEachGranule(
-      Addr, Size, Config.GranuleShift, PageShift,
-      [&](uintptr_t PageBase, size_t Index, uintptr_t GranuleAddr) {
-        Page *P = getOrCreatePage(PageBase);
-        auto *Words = reinterpret_cast<WordT *>(P->Cells.get());
-        std::atomic_ref<WordT> Cell(Words[Index]);
-
-        WordT Cur = Cell.load(std::memory_order_acquire);
-        bool Conflict = false;
-        bool Logged = false;
-        while (true) {
-          WordT Others = Cur & ~(OwnBit | WriterBit);
-          if (IsWrite) {
-            // chkwrite: no other readers, no other writer.
-            Conflict = Others != 0;
-          } else {
-            // chkread: no other writer. A writer exists iff bit 0 is set;
-            // its identity is the unique other bit.
-            Conflict = (Cur & WriterBit) != 0 && Others != 0;
-          }
-          WordT Desired;
-          if (Conflict) {
-            // Claim the granule anyway so one bug yields one report per
-            // site rather than a storm.
-            Desired = IsWrite ? (WriterBit | OwnBit) : (Cur | OwnBit);
-          } else {
-            Desired = IsWrite ? (Cur | WriterBit | OwnBit) : (Cur | OwnBit);
-          }
-          // A first access logs the granule before the CAS publishes the
-          // bit, so a thread that sees the bit also finds the entry.
-          if ((Cur & OwnBit) == 0 && !Logged) {
-            TS.AccessLog.push({GranuleAddr, Site});
-            Logged = true;
-          }
-          if (Desired == Cur)
-            break;
-          if (Cell.compare_exchange_weak(Cur, Desired,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire))
-            break;
-          // Cur reloaded by compare_exchange; retry the full check.
-        }
-
-        if (Conflict) {
-          if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
-              isGranuleQuarantined(GranuleAddr)) {
-            // Demoted to racy-equivalent: the access proceeds unchecked.
-            Conflict = false;
-          } else {
-            Ok = false;
-            reportConflict(IsWrite, GranuleAddr, TS, Site, Cur);
-          }
-        }
+  forEachWord(
+      Addr, Size,
+      [&](uintptr_t PageNumber) { return cellsFor(TS, PageNumber); },
+      [&](uint64_t &Word, uint64_t Sel, uintptr_t WordAddr) {
+        Ok &= checkWord(Word, Sel, WordAddr, IsWrite, TS, Site, Logged);
       });
   return Ok;
 }
 
+bool ShadowMemory::checkWord(uint64_t &Word, uint64_t Sel, uintptr_t WordAddr,
+                             bool IsWrite, ThreadState &TS,
+                             const AccessSite *Site, uint64_t Logged) {
+  std::atomic_ref<uint64_t> Cell(Word);
+  const uint64_t Own = (LaneLow << TS.Tid) & Sel;
+  const uint64_t Set = IsWrite ? Own | (LaneLow & Sel) : Own;
+  uint64_t Cur = Cell.load(std::memory_order_acquire);
+  while (true) {
+    if (conflictLanes(Cur, Sel, TS.Tid, IsWrite))
+      return checkLanes(Word, Sel, WordAddr, IsWrite, TS, Site, Logged);
+    uint64_t Desired = Cur | Set;
+    if (Desired == Cur)
+      return true;
+    // First accesses are logged before the CAS publishes their bits. A
+    // lane cleared since the last look is a first access again.
+    if (uint64_t First = ~Cur & Own & ~Logged) {
+      logLanes(First, WordAddr, TS, Site);
+      Logged |= First;
+    }
+    if (Cell.compare_exchange_weak(Cur, Desired, std::memory_order_acq_rel,
+                                   std::memory_order_acquire))
+      return true;
+  }
+}
+
+bool ShadowMemory::checkLanes(uint64_t &Word, uint64_t Sel,
+                              uintptr_t WordAddr, bool IsWrite,
+                              ThreadState &TS, const AccessSite *Site,
+                              uint64_t Logged) {
+  std::atomic_ref<uint64_t> Cell(Word);
+  bool Ok = true;
+  for (uint64_t Rest = Sel & LaneLow; Rest; Rest &= Rest - 1) {
+    const unsigned Shift = static_cast<unsigned>(std::countr_zero(Rest));
+    const uint64_t Writer = uint64_t(1) << Shift;
+    const uint64_t Own = Writer << TS.Tid;
+    const uint64_t Bits = LaneMask << Shift;
+    const uintptr_t GranuleAddr = WordAddr + (uintptr_t(Shift >> LaneShift)
+                                              << GranuleShift);
+    uint64_t Cur = Cell.load(std::memory_order_acquire);
+    uint64_t Lane;
+    bool Conflict;
+    while (true) {
+      Lane = Cur & Bits;
+      uint64_t Others = Lane & ~(Own | Writer);
+      Conflict = IsWrite ? Others != 0 : (Lane & Writer) != 0 && Others != 0;
+      uint64_t DesiredLane;
+      if (Conflict) {
+        // Claim the granule anyway so one bug yields one report per
+        // site rather than a storm.
+        DesiredLane = IsWrite ? (Writer | Own) : (Lane | Own);
+      } else {
+        DesiredLane = Lane | Own | (IsWrite ? Writer : 0);
+      }
+      if ((Lane & Own) == 0 && (Logged & Own) == 0) {
+        TS.AccessLog.log(GranuleAddr, 1, GranuleMask + 1, Site);
+        Logged |= Own;
+      }
+      uint64_t Desired = (Cur & ~Bits) | DesiredLane;
+      if (Desired == Cur)
+        break;
+      if (Cell.compare_exchange_weak(Cur, Desired, std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+        break;
+      // Cur reloaded by compare_exchange; retry the full check.
+    }
+
+    if (Conflict) {
+      if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
+          isGranuleQuarantined(GranuleAddr))
+        continue; // Demoted to racy-equivalent: proceeds unchecked.
+      Ok = false;
+      reportConflict(IsWrite, GranuleAddr, TS, Site, Lane >> Shift);
+    }
+  }
+  return Ok;
+}
+
+void ShadowMemory::logLanes(uint64_t First, uintptr_t WordAddr,
+                            ThreadState &TS, const AccessSite *Site) {
+  const uintptr_t GranuleBytes = GranuleMask + 1;
+  uintptr_t RunFirst = 0;
+  size_t RunLength = 0;
+  for (uint64_t Rest = First >> TS.Tid; Rest; Rest &= Rest - 1) {
+    uintptr_t G = WordAddr + (uintptr_t(std::countr_zero(Rest) >> LaneShift)
+                              << GranuleShift);
+    if (RunLength != 0 && G == RunFirst + RunLength * GranuleBytes) {
+      ++RunLength;
+      continue;
+    }
+    if (RunLength != 0)
+      TS.AccessLog.log(RunFirst, RunLength, GranuleBytes, Site);
+    RunFirst = G;
+    RunLength = 1;
+  }
+  if (RunLength != 0)
+    TS.AccessLog.log(RunFirst, RunLength, GranuleBytes, Site);
+}
+
 void ShadowMemory::reportConflict(bool IsWrite, uintptr_t Addr,
                                   ThreadState &TS, const AccessSite *Site,
-                                  uint64_t SeenWord) {
+                                  uint64_t SeenLane) {
   ConflictReport Report;
   Report.Kind = IsWrite ? ReportKind::WriteConflict : ReportKind::ReadConflict;
   Report.Address = Addr;
   Report.WhoTid = TS.Tid;
   Report.WhoSite = Site;
-  // "last" (DESIGN.md §8 item 7): the lowest other id in the word, and
-  // that thread's newest log entry for the granule. Retired states' logs
-  // are empty. No check runs under the registry lock, and it is released
-  // before the policy runs. Only a report the sink will keep pays for the
-  // scan; a repeat, or one past the cap, costs the same however long the
-  // log.
-  uint64_t Others = SeenWord & ~((uint64_t(1) << TS.Tid) | 1);
+  // "last" (DESIGN.md §8 item 7): the lowest other id in the lane, and the
+  // site of that thread's newest run containing the granule. Retired
+  // states' logs are empty. No check runs under the registry lock, and it
+  // is released before the policy runs. Only a report the sink will keep
+  // pays for the scan; a repeat, or one past the cap, costs the same
+  // however long the log.
+  uint64_t Others = SeenLane & ~((uint64_t(1) << TS.Tid) | 1);
   Report.LastTid = static_cast<unsigned>(std::countr_zero(Others));
-  Report.LastWasWrite = (SeenWord & 1) != 0;
+  Report.LastWasWrite = (SeenLane & 1) != 0;
   if (Sink.wouldRetain(Report))
     Registry.forEachState([&](ThreadState &S) {
       if (S.Tid == Report.LastTid)
-        S.AccessLog.forEach([&](const AccessLogEntry &E) {
-          if (E.Granule == Addr)
-            Report.LastSite = E.Site;
-        });
+        S.AccessLog.forEach(
+            [&](uintptr_t First, size_t Count, const AccessSite *RunSite) {
+              if (Addr - First < (uintptr_t(Count) << GranuleShift))
+                Report.LastSite = RunSite;
+            });
     });
   if (guard::onViolation(Config.Guard, Report, Sink) ==
       guard::Verdict::Quarantine)
@@ -180,123 +242,53 @@ void ShadowMemory::quarantineGranule(uintptr_t GranuleAddr) {
   QuarantinedGranules.insert(GranuleAddr);
 }
 
-bool ShadowMemory::checkRead(const void *Addr, size_t Size, ThreadState &TS,
-                             const AccessSite *Site) {
-  TS.Counters.bump(Counter::DynamicReads);
-  TS.Counters.bump(Counter::DynamicReadBytes, Size ? Size : 1);
-  uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return checkAccessImpl<uint8_t>(A, Size, /*IsWrite=*/false, TS, Site);
-  case 2:
-    return checkAccessImpl<uint16_t>(A, Size, false, TS, Site);
-  case 4:
-    return checkAccessImpl<uint32_t>(A, Size, false, TS, Site);
-  default:
-    return checkAccessImpl<uint64_t>(A, Size, false, TS, Site);
-  }
-}
-
-bool ShadowMemory::checkWrite(const void *Addr, size_t Size, ThreadState &TS,
-                              const AccessSite *Site) {
-  TS.Counters.bump(Counter::DynamicWrites);
-  TS.Counters.bump(Counter::DynamicWriteBytes, Size ? Size : 1);
-  uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return checkAccessImpl<uint8_t>(A, Size, /*IsWrite=*/true, TS, Site);
-  case 2:
-    return checkAccessImpl<uint16_t>(A, Size, true, TS, Site);
-  case 4:
-    return checkAccessImpl<uint32_t>(A, Size, true, TS, Site);
-  default:
-    return checkAccessImpl<uint64_t>(A, Size, true, TS, Site);
-  }
-}
-
-template <typename WordT>
-void ShadowMemory::clearRangeImpl(uintptr_t Addr, size_t Size) {
-  forEachGranule(Addr, Size, Config.GranuleShift, PageShift,
-                 [&](uintptr_t PageBase, size_t Index, uintptr_t) {
-                   Page *P = lookupPage(PageBase);
-                   if (!P)
-                     return;
-                   auto *Words = reinterpret_cast<WordT *>(P->Cells.get());
-                   std::atomic_ref<WordT>(Words[Index])
-                       .store(0, std::memory_order_release);
-                 });
-}
-
 void ShadowMemory::clearRange(const void *Addr, size_t Size) {
-  uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return clearRangeImpl<uint8_t>(A, Size);
-  case 2:
-    return clearRangeImpl<uint16_t>(A, Size);
-  case 4:
-    return clearRangeImpl<uint32_t>(A, Size);
-  default:
-    return clearRangeImpl<uint64_t>(A, Size);
-  }
-}
-
-template <typename WordT>
-void ShadowMemory::clearThreadBitsImpl(ThreadState &TS) {
-  const WordT WriterBit = 1;
-  const WordT OwnBit = WordT(1) << TS.Tid;
-  TS.AccessLog.forEach([&](const AccessLogEntry &E) {
-    uintptr_t PageBase = E.Granule & ~(uintptr_t(PageBytes) - 1);
-    Page *P = lookupPage(PageBase);
-    if (!P)
-      return;
-    size_t Index = (E.Granule - PageBase) >> Config.GranuleShift;
-    auto *Words = reinterpret_cast<WordT *>(P->Cells.get());
-    std::atomic_ref<WordT> Cell(Words[Index]);
-    WordT Cur = Cell.load(std::memory_order_acquire);
-    while (true) {
-      WordT Desired;
-      if ((Cur & WriterBit) != 0 && (Cur & ~WriterBit) == OwnBit)
-        Desired = 0; // We were the sole writer; reset the granule.
-      else
-        Desired = Cur & ~OwnBit;
-      if (Desired == Cur)
-        break;
-      if (Cell.compare_exchange_weak(Cur, Desired, std::memory_order_acq_rel,
-                                     std::memory_order_acquire))
-        break;
-    }
-  });
+  forEachWord(
+      reinterpret_cast<uintptr_t>(Addr), Size,
+      [&](uintptr_t PageNumber) { return findCells(PageNumber); },
+      [](uint64_t &Word, uint64_t Sel, uintptr_t) {
+        std::atomic_ref<uint64_t> Cell(Word);
+        if (Sel == ~uint64_t(0))
+          Cell.store(0, std::memory_order_release);
+        else
+          Cell.fetch_and(~Sel, std::memory_order_acq_rel);
+      });
 }
 
 void ShadowMemory::clearThreadBits(ThreadState &TS) {
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return clearThreadBitsImpl<uint8_t>(TS);
-  case 2:
-    return clearThreadBitsImpl<uint16_t>(TS);
-  case 4:
-    return clearThreadBitsImpl<uint32_t>(TS);
-  default:
-    return clearThreadBitsImpl<uint64_t>(TS);
-  }
+  const uint64_t OwnBits = LaneLow << TS.Tid;
+  const uint64_t SoleWriter = OwnBits | LaneLow;
+  TS.AccessLog.forEach([&](uintptr_t First, size_t Count,
+                           const AccessSite *) {
+    forEachWord(
+        First, uintptr_t(Count) << GranuleShift,
+        [&](uintptr_t PageNumber) { return findCells(PageNumber); },
+        [&](uint64_t &Word, uint64_t Sel, uintptr_t) {
+          std::atomic_ref<uint64_t> Cell(Word);
+          const uint64_t Own = OwnBits & Sel;
+          uint64_t Cur = Cell.load(std::memory_order_acquire);
+          while (Cur & Own) {
+            // A lane this thread was the sole writer of resets to 0; in
+            // the others only its own bit goes.
+            uint64_t Sole = ~nonZeroLanes(Cur ^ SoleWriter) & LaneLow & Sel;
+            uint64_t Desired = Cur & ~Own & ~(Sole * LaneMask);
+            if (Cell.compare_exchange_weak(Cur, Desired,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire))
+              break;
+          }
+        });
+  });
 }
 
 uint64_t ShadowMemory::peekWord(const void *Addr) const {
   uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  uintptr_t PageBase = A & ~(uintptr_t(PageBytes) - 1);
-  Page *P = lookupPage(PageBase);
-  if (!P)
+  uint64_t *Cells = findCells(A >> PageShift);
+  if (!Cells)
     return 0;
-  size_t Index = (A - PageBase) >> Config.GranuleShift;
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return loadWord<uint8_t>(P->Cells.get(), Index);
-  case 2:
-    return loadWord<uint16_t>(P->Cells.get(), Index);
-  case 4:
-    return loadWord<uint32_t>(P->Cells.get(), Index);
-  default:
-    return loadWord<uint64_t>(P->Cells.get(), Index);
-  }
+  size_t G = (A & (PageBytes - 1)) >> GranuleShift;
+  uint64_t Word = std::atomic_ref<uint64_t>(Cells[G >> LanesLog])
+                      .load(std::memory_order_acquire);
+  unsigned Shift = unsigned(G & ((size_t(1) << LanesLog) - 1)) << LaneShift;
+  return (Word >> Shift) & LaneMask;
 }

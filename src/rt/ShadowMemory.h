@@ -14,18 +14,26 @@
 ///   - bit k set (k >= 1): thread with id k is reading the granule, and
 ///     writing it if bit 0 is also set.
 ///
-/// With N shadow bytes, up to 8N-1 threads are supported. Checks and
-/// updates are a single compare-exchange on the shadow word, mirroring the
-/// paper's use of cmpxchg. A thread's first access to a granule logs the
-/// granule address so the thread's bits can be cleared cheaply when it
-/// exits ("SharC does not consider it a race for two threads to access the
-/// same location if their execution does not overlap"). The log entry also
-/// carries the access site; it is the only provenance a conflict report
-/// has for the other thread's access.
+/// With N shadow bytes, up to 8N-1 threads are supported. The cells are
+/// read and updated as 64-bit words of 8/N lanes, one lane per granule in
+/// address order, and every cell is only ever accessed as such a word. A
+/// one-granule check is a load and, on a first access, one
+/// compare-exchange that changes only its own lane, mirroring the paper's
+/// use of cmpxchg; a range check or an exit clear updates a whole word per
+/// compare-exchange. A word with a conflicting lane is redone lane by lane
+/// in address order, so reports come out as a per-granule check files
+/// them. A thread's first access to a granule logs it, as part of a run of
+/// consecutive granules (ThreadState::AccessLog), so the thread's bits can
+/// be cleared cheaply when it exits ("SharC does not consider it a race
+/// for two threads to access the same location if their execution does
+/// not overlap"). The run also carries the access site; it is the only
+/// provenance a conflict report has for the other thread's access.
 ///
 /// Shadow is organized in pages covering 4 KiB of application address
 /// space each, found through an AddrIndex keyed by page number, so heap,
-/// globals, and stack can all be checked without registration.
+/// globals, and stack can all be checked without registration. Each
+/// thread caches the page it used last, and a range looks each of its
+/// pages up once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +47,7 @@
 #include "rt/Report.h"
 #include "rt/ThreadRegistry.h"
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
@@ -61,12 +70,22 @@ public:
   /// a reader. \returns false (after filing a report) on conflict; the
   /// access is still claimed so execution can continue.
   bool checkRead(const void *Addr, size_t Size, ThreadState &TS,
-                 const AccessSite *Site);
+                 const AccessSite *Site) {
+    TS.Counters.bump(Counter::DynamicReads);
+    TS.Counters.bump(Counter::DynamicReadBytes, Size ? Size : 1);
+    return check</*IsWrite=*/false>(reinterpret_cast<uintptr_t>(Addr), Size,
+                                    TS, Site);
+  }
 
   /// chkwrite: verifies no other thread has read or written the range, then
   /// records this thread as the writer.
   bool checkWrite(const void *Addr, size_t Size, ThreadState &TS,
-                  const AccessSite *Site);
+                  const AccessSite *Site) {
+    TS.Counters.bump(Counter::DynamicWrites);
+    TS.Counters.bump(Counter::DynamicWriteBytes, Size ? Size : 1);
+    return check</*IsWrite=*/true>(reinterpret_cast<uintptr_t>(Addr), Size,
+                                   TS, Site);
+  }
 
   /// Clears all reader/writer sets for [Addr, Addr+Size). Called when heap
   /// memory is freed and when a sharing cast changes an object's mode
@@ -82,7 +101,7 @@ public:
   /// if no shadow page exists yet. For tests.
   uint64_t peekWord(const void *Addr) const;
 
-  unsigned granuleSize() const { return 1u << Config.GranuleShift; }
+  unsigned granuleSize() const { return 1u << GranuleShift; }
 
   /// Bytes of shadow pages allocated so far; pages are never freed.
   uint64_t getShadowBytes() const;
@@ -90,17 +109,100 @@ public:
 private:
   struct Page;
 
-  Page *lookupPage(uintptr_t PageBase) const;
-  Page *getOrCreatePage(uintptr_t PageBase);
+  /// The inline fast path: one granule on the thread's cached page that
+  /// needs no report. Everything else, and a lost compare-exchange, goes
+  /// to checkRange.
+  template <bool IsWrite>
+  bool check(uintptr_t Addr, size_t Size, ThreadState &TS,
+             const AccessSite *Site) {
+    if (Size <= GranuleMask + 1 - (Addr & GranuleMask) &&
+        (Addr >> PageShift) == TS.ShadowPage) {
+      size_t G = (Addr & (PageBytes - 1)) >> GranuleShift;
+      std::atomic_ref<uint64_t> Cell(TS.ShadowCells[G >> LanesLog]);
+      unsigned Shift = unsigned(G & ((size_t(1) << LanesLog) - 1)) << LaneShift;
+      uint64_t Writer = uint64_t(1) << Shift;
+      uint64_t Own = Writer << TS.Tid;
+      uint64_t Cur = Cell.load(std::memory_order_acquire);
+      uint64_t Lane = Cur & (LaneMask << Shift);
+      uint64_t Others = Lane & ~(Own | Writer);
+      // chkwrite: no other readers, no other writer. chkread: no other
+      // writer; a writer exists iff bit 0 is set, and it is the unique
+      // other bit.
+      if (IsWrite ? Others == 0 : (Lane & Writer) == 0 || Others == 0) {
+        uint64_t Desired = Cur | Own | (IsWrite ? Writer : 0);
+        if (Desired == Cur)
+          return true;
+        // A first access logs the granule before the CAS publishes the
+        // bit, so a thread that sees the bit also finds the run.
+        uint64_t Logged = 0;
+        if ((Lane & Own) == 0) {
+          TS.AccessLog.log(Addr & ~GranuleMask, 1, GranuleMask + 1, Site);
+          Logged = Own;
+        }
+        if (Cell.compare_exchange_strong(Cur, Desired,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire))
+          return true;
+        return checkRange(Addr, Size, IsWrite, TS, Site, Logged);
+      }
+    }
+    return checkRange(Addr, Size, IsWrite, TS, Site, 0);
+  }
 
-  template <typename WordT>
-  bool checkAccessImpl(uintptr_t Addr, size_t Size, bool IsWrite,
-                       ThreadState &TS, const AccessSite *Site);
-  template <typename WordT> void clearRangeImpl(uintptr_t Addr, size_t Size);
-  template <typename WordT> void clearThreadBitsImpl(ThreadState &TS);
+  /// Checks [Addr, Addr+Size) a word at a time. \p Logged holds the own
+  /// bits of lanes whose first access is already logged.
+  bool checkRange(uintptr_t Addr, size_t Size, bool IsWrite, ThreadState &TS,
+                  const AccessSite *Site, uint64_t Logged);
+  /// Checks the lanes \p Sel of \p Word, whose lane 0 is the granule at
+  /// \p WordAddr, with one compare-exchange unless a lane conflicts.
+  bool checkWord(uint64_t &Word, uint64_t Sel, uintptr_t WordAddr,
+                 bool IsWrite, ThreadState &TS, const AccessSite *Site,
+                 uint64_t Logged);
+  /// The same lane by lane in address order, filing each conflict.
+  bool checkLanes(uint64_t &Word, uint64_t Sel, uintptr_t WordAddr,
+                  bool IsWrite, ThreadState &TS, const AccessSite *Site,
+                  uint64_t Logged);
+  /// Logs the first accesses whose own bits are \p First, as runs.
+  void logLanes(uint64_t First, uintptr_t WordAddr, ThreadState &TS,
+                const AccessSite *Site);
+
+  /// Walks the words covering [Addr, Addr+Size), looking each page up
+  /// once: Fn(Word, Sel, WordAddr) with Sel the lanes in range and
+  /// WordAddr the granule of lane 0, for every word of each page whose
+  /// cells PageFn(PageNumber) returns (null skips the page).
+  template <typename PageFnT, typename WordFnT>
+  void forEachWord(uintptr_t Addr, size_t Size, PageFnT PageFn,
+                   WordFnT Fn) const;
+
+  /// The cells of page \p PageNumber, created if need be, through the
+  /// thread's page cache.
+  uint64_t *cellsFor(ThreadState &TS, uintptr_t PageNumber);
+  /// The cells of page \p PageNumber, or null if it has none yet.
+  uint64_t *findCells(uintptr_t PageNumber) const;
+
+  /// The lane mask of lanes \p First to \p Last, inclusive.
+  uint64_t laneSel(unsigned First, unsigned Last) const {
+    return (~uint64_t(0) >> (64 - ((Last + 1) << LaneShift))) &
+           (~uint64_t(0) << (First << LaneShift));
+  }
+  /// Bit 0 of each lane of \p X that is nonzero.
+  uint64_t nonZeroLanes(uint64_t X) const {
+    return ((((X & ~LaneHigh) + ~LaneHigh) | X) & LaneHigh) >>
+           ((1u << LaneShift) - 1);
+  }
+  /// Nonzero iff a lane in \p Sel of \p Cur conflicts with an access by
+  /// \p Tid.
+  uint64_t conflictLanes(uint64_t Cur, uint64_t Sel, unsigned Tid,
+                         bool IsWrite) const {
+    uint64_t Others = Cur & Sel & ~(LaneLow | (LaneLow << Tid));
+    if (IsWrite)
+      return Others;
+    uint64_t Writers = Cur & Sel & LaneLow;
+    return Writers ? nonZeroLanes(Others) & Writers : 0;
+  }
 
   void reportConflict(bool IsWrite, uintptr_t Addr, ThreadState &TS,
-                      const AccessSite *Site, uint64_t SeenWord);
+                      const AccessSite *Site, uint64_t SeenLane);
 
   /// Quarantine (guard::Policy::Quarantine only): granules demoted to
   /// racy-equivalent stop firing. Consulted exclusively on the conflict
@@ -108,14 +210,24 @@ private:
   bool isGranuleQuarantined(uintptr_t GranuleAddr);
   void quarantineGranule(uintptr_t GranuleAddr);
 
+  static constexpr unsigned PageShift = 12;
+  static constexpr size_t PageBytes = size_t(1) << PageShift;
+
   const RuntimeConfig &Config;
   ReportSink &Sink;
   ThreadRegistry &Registry;
 
-  static constexpr unsigned PageShift = 12;
-  static constexpr size_t PageBytes = size_t(1) << PageShift;
-
-  size_t CellBytes; ///< Shadow bytes per page.
+  unsigned GranuleShift;
+  uintptr_t GranuleMask;
+  /// log2 of a lane's width in bits (3 for one shadow byte ... 6 for
+  /// eight) and of the lanes in a word (3 ... 0).
+  unsigned LaneShift;
+  unsigned LanesLog;
+  /// One lane's bits, bit 0 of every lane, and the top bit of every lane.
+  uint64_t LaneMask;
+  uint64_t LaneLow;
+  uint64_t LaneHigh;
+  size_t WordsPerPage;
   AddrIndex<Page> Pages;
   std::mutex QuarantineMutex;
   std::unordered_set<uintptr_t> QuarantinedGranules;

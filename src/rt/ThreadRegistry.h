@@ -31,11 +31,100 @@
 namespace sharc {
 namespace rt {
 
-/// One first-access log entry: a granule whose shadow cell the thread set
-/// its bit in, and the site of the access that set it.
-struct AccessLogEntry {
-  uintptr_t Granule = 0;
-  const AccessSite *Site = nullptr;
+/// One run of the first-access log: Count consecutive granules, from
+/// First up, whose shadow cells the thread set its bit in, first accessed
+/// in address order from one site. Count lives in the top 16 bits of
+/// SiteAndCount and the site in the low 48, so an entry is 16 bytes and
+/// growing a run is one store.
+struct AccessRun {
+  uintptr_t First = 0;
+  uint64_t SiteAndCount = 0;
+};
+
+/// The first-access log of Section 4.2.1 as runs. Only the owner logs;
+/// other threads may scan it concurrently. A first access right after the
+/// newest run, from the same site, grows that run: the owner stores the
+/// new count (release) before the compare-and-swap that publishes the
+/// granule's bit, so a scanner that saw the bit reads a count covering
+/// the granule. Otherwise it appends a run.
+class FirstAccessLog {
+  static constexpr unsigned CountShift = 48;
+  static constexpr uint64_t SiteMask = (uint64_t(1) << CountShift) - 1;
+  static constexpr uint64_t MaxCount = 0xFFFF;
+  /// The owner's copy of a cleared log's newest run: full, so it never
+  /// grows.
+  static constexpr uint64_t NoRun = MaxCount << CountShift;
+
+public:
+  /// Logs the first accesses to the \p N granules of \p GranuleBytes
+  /// each from \p First up, all from \p Site (owner only).
+  void log(uintptr_t First, size_t N, size_t GranuleBytes,
+           const AccessSite *Site) {
+    uint64_t Tag = tag(Site);
+    if (First == NextGranule && (NewestWord & SiteMask) == Tag &&
+        (NewestWord >> CountShift) + N <= MaxCount) {
+      NewestWord += uint64_t(N) << CountShift;
+      std::atomic_ref<uint64_t>(Newest->SiteAndCount)
+          .store(NewestWord, std::memory_order_release);
+      NextGranule += N * GranuleBytes;
+      return;
+    }
+    append(First, N, GranuleBytes, Tag);
+  }
+
+  /// Invokes Fn(First, Count, Site) for every run present at call time,
+  /// oldest first. Safe against the appending owner.
+  template <typename FnT> void forEach(FnT Fn) const {
+    Runs.forEach([&](const AccessRun &R) {
+      uint64_t Word = std::atomic_ref<const uint64_t>(R.SiteAndCount)
+                          .load(std::memory_order_acquire);
+      Fn(R.First, size_t(Word >> CountShift),
+         reinterpret_cast<const AccessSite *>(Word & SiteMask));
+    });
+  }
+
+  /// Drops every run, and the owner's newest with them. Only when no
+  /// other thread can log or scan (the registry, under its lock, when
+  /// the owner deregisters).
+  void clear() {
+    Runs.clear();
+    Newest = nullptr;
+    NewestWord = NoRun;
+    NextGranule = 0;
+  }
+
+  bool empty() const { return Runs.empty(); }
+  /// Number of runs.
+  size_t size() const { return Runs.size(); }
+  size_t memoryFootprint() const { return Runs.memoryFootprint(); }
+
+private:
+  /// A site's low 48 bits. User-space addresses fit on the supported
+  /// targets; a site above them is logged without its site, which costs
+  /// a report its "last" site and nothing else.
+  static uint64_t tag(const AccessSite *Site) {
+    uint64_t Bits = reinterpret_cast<uintptr_t>(Site);
+    return Bits & ~SiteMask ? 0 : Bits;
+  }
+
+  [[gnu::noinline]] void append(uintptr_t First, size_t N,
+                                size_t GranuleBytes, uint64_t Tag) {
+    NextGranule = First;
+    while (N != 0) {
+      size_t Count = N < MaxCount ? N : MaxCount;
+      NewestWord = (uint64_t(Count) << CountShift) | Tag;
+      Newest = &Runs.push({NextGranule, NewestWord});
+      NextGranule += Count * GranuleBytes;
+      N -= Count;
+    }
+  }
+
+  ChunkedLog<AccessRun> Runs;
+  /// The owner's newest run, its SiteAndCount as last stored, and the
+  /// granule right after it. Read and written by the owner only.
+  AccessRun *Newest = nullptr;
+  uint64_t NewestWord = NoRun;
+  uintptr_t NextGranule = 0;
 };
 
 /// All per-thread runtime state. Allocated when a thread registers and
@@ -49,13 +138,20 @@ struct ThreadState {
   /// retired total when the thread deregisters.
   ThreadCounters Counters;
 
-  /// Granules whose shadow cell this thread has set its bit in since the
-  /// bit was last clear, oldest first. Used to clear this thread's bits at
-  /// exit ("the clearing operation is made efficient by logging the
-  /// addresses of all of a thread's reads and writes on its first
-  /// accesses") and read by other threads' conflict reports under the
-  /// registry lock; emptied, under that lock, when the thread deregisters.
-  ChunkedLog<AccessLogEntry> AccessLog;
+  /// Runs of granules whose shadow cell this thread has set its bit in
+  /// since the bit was last clear, oldest first. Used to clear this
+  /// thread's bits at exit ("the clearing operation is made efficient by
+  /// logging the addresses of all of a thread's reads and writes on its
+  /// first accesses") and read by other threads' conflict reports under
+  /// the registry lock; emptied, under that lock, when the thread
+  /// deregisters.
+  FirstAccessLog AccessLog;
+
+  /// The owner's cache of the shadow page it used last: its page number
+  /// and cells. Pages live as long as their ShadowMemory, so the cache
+  /// never goes stale; a state serves one ShadowMemory.
+  uintptr_t ShadowPage = ~uintptr_t(0);
+  uint64_t *ShadowCells = nullptr;
 
   /// Double-buffered reference-count update logs, indexed by epoch.
   RcLog RcLogs[2];

@@ -458,9 +458,64 @@ TEST(ShadowPropertyTest, SharedGranuleWriterAlwaysCaught) {
 }
 
 TEST(ShadowPropertyTest, ReportsReadTheLogOfAnAppendingThread) {
-  // One thread logs 65,536 first accesses while another files conflicts
+  // One thread logs 65,536 first accesses, alternating two sites so that
+  // each is a run of its own, while another thread files conflicts
   // against granules it has just written, so every report scans the
   // writer's access log as it grows. Each must still name the write.
+  for (int Round = 0; Round != 3; ++Round) {
+    RuntimeGuard Guard;
+    Runtime &RT = Runtime::get();
+    constexpr size_t NumGranules = size_t(1) << 16;
+    constexpr size_t Stride = NumGranules / 256; // 256 reports, all kept
+    static const AccessSite EvenSite{"buf[i]", "append.c", 7};
+    static const AccessSite OddSite{"buf[i+1]", "append.c", 8};
+    static const AccessSite ReadSite{"buf[i]", "report.c", 9};
+    char *Buf = static_cast<char *>(RT.allocate(NumGranules * 16));
+    std::atomic<size_t> Written{0};
+    std::atomic<bool> ReaderDone{false};
+    unsigned WriterTid = 0;
+    size_t LogRuns = 0;
+    Thread Writer([&] {
+      ThreadState &TS = RT.currentThread();
+      WriterTid = TS.Tid;
+      for (size_t G = 0; G != NumGranules; ++G) {
+        RT.checkWrite(Buf + 16 * G, 1, G % 2 ? &OddSite : &EvenSite);
+        Written.store(G + 1, std::memory_order_release);
+      }
+      LogRuns = TS.AccessLog.size();
+      // Stay registered, bits set and log live, until the reader is done.
+      while (!ReaderDone.load())
+        std::this_thread::yield();
+    });
+    Thread Reader([&] {
+      // Every other report lands on an odd granule.
+      for (size_t K = 0; K != NumGranules / Stride; ++K) {
+        size_t G = K * Stride + K % 2;
+        while (Written.load(std::memory_order_acquire) <= G)
+          std::this_thread::yield();
+        EXPECT_FALSE(RT.checkRead(Buf + 16 * G, 1, &ReadSite));
+      }
+      ReaderDone.store(true);
+    });
+    Writer.join();
+    Reader.join();
+    EXPECT_EQ(LogRuns, NumGranules) << "round " << Round;
+    auto Reports = RT.getReports().getReports();
+    ASSERT_EQ(Reports.size(), NumGranules / Stride) << "round " << Round;
+    for (const ConflictReport &R : Reports) {
+      size_t G = (R.Address - reinterpret_cast<uintptr_t>(Buf)) / 16;
+      EXPECT_EQ(R.LastTid, WriterTid) << "round " << Round;
+      EXPECT_EQ(R.LastSite, G % 2 ? &OddSite : &EvenSite)
+          << "round " << Round;
+    }
+    RT.deallocate(Buf);
+  }
+}
+
+TEST(ShadowPropertyTest, ReportsReadARunAsItGrows) {
+  // The same from one site: the writer's 65,536 first accesses are one
+  // run whose count grows while the other thread's reports read it. A
+  // report that sees the writer's bit must see a count that covers it.
   for (int Round = 0; Round != 3; ++Round) {
     RuntimeGuard Guard;
     Runtime &RT = Runtime::get();
@@ -472,12 +527,15 @@ TEST(ShadowPropertyTest, ReportsReadTheLogOfAnAppendingThread) {
     std::atomic<size_t> Written{0};
     std::atomic<bool> ReaderDone{false};
     unsigned WriterTid = 0;
+    size_t LogRuns = 0;
     Thread Writer([&] {
-      WriterTid = RT.currentThread().Tid;
+      ThreadState &TS = RT.currentThread();
+      WriterTid = TS.Tid;
       for (size_t G = 0; G != NumGranules; ++G) {
         RT.checkWrite(Buf + 16 * G, 1, &WriteSite);
         Written.store(G + 1, std::memory_order_release);
       }
+      LogRuns = TS.AccessLog.size();
       // Stay registered, bits set and log live, until the reader is done.
       while (!ReaderDone.load())
         std::this_thread::yield();
@@ -492,6 +550,8 @@ TEST(ShadowPropertyTest, ReportsReadTheLogOfAnAppendingThread) {
     });
     Writer.join();
     Reader.join();
+    // A run holds at most 65,535 granules.
+    EXPECT_EQ(LogRuns, 2u) << "round " << Round;
     auto Reports = RT.getReports().getReports();
     ASSERT_EQ(Reports.size(), NumGranules / Stride) << "round " << Round;
     for (const ConflictReport &R : Reports) {
@@ -523,13 +583,15 @@ TEST(ShadowPropertyTest, OnlyRetainedReportsScanTheLog) {
   // Two racy patterns whose conflicts are mostly dropped: a reader that
   // polls a flag another thread wrote (every poll conflicts again and is
   // deduplicated), and a stride-1 read of a buffer that thread wrote (one
-  // conflict per granule, far past the report cap). A dropped conflict
-  // must not scan the writer's 65,537-entry log, so exactly the retained
-  // reports carry a site and the scans stay bounded by the cap.
+  // conflict per granule, far past the report cap). The writer alternates
+  // two sites, so each buffer granule is a run of its own. A dropped
+  // conflict must not scan the writer's 65,537-run log, so exactly the
+  // retained reports carry a site and the scans stay bounded by the cap.
   constexpr size_t NumGranules = size_t(1) << 16;
   constexpr uint64_t NumPolls = 100000;
   static const AccessSite FlagWrite{"flag", "poll.c", 3};
-  static const AccessSite BufWrite{"buf[i]", "poll.c", 4};
+  static const AccessSite EvenWrite{"buf[i]", "poll.c", 4};
+  static const AccessSite OddWrite{"buf[i+1]", "poll.c", 5};
   static const AccessSite FlagRead{"flag", "poll.c", 8};
   static const AccessSite BufRead{"buf[i]", "poll.c", 9};
   ConflictCounter Counter;
@@ -541,11 +603,14 @@ TEST(ShadowPropertyTest, OnlyRetainedReportsScanTheLog) {
   std::atomic<bool> Written{false};
   std::atomic<bool> ReaderDone{false};
   unsigned WriterTid = 0;
+  size_t LogRuns = 0;
   Thread Writer([&] {
-    WriterTid = RT.currentThread().Tid;
+    ThreadState &TS = RT.currentThread();
+    WriterTid = TS.Tid;
     RT.checkWrite(Flag, 1, &FlagWrite);
     for (size_t G = 0; G != NumGranules; ++G)
-      RT.checkWrite(Buf + 16 * G, 1, &BufWrite);
+      RT.checkWrite(Buf + 16 * G, 1, G % 2 ? &OddWrite : &EvenWrite);
+    LogRuns = TS.AccessLog.size();
     Written.store(true);
     // Stay registered, bits set and log live, until the reader is done.
     while (!ReaderDone.load())
@@ -568,13 +633,16 @@ TEST(ShadowPropertyTest, OnlyRetainedReportsScanTheLog) {
   const size_t Cap = RT.getConfig().MaxReports;
   auto Reports = RT.getReports().getReports();
   ASSERT_EQ(Reports.size(), Cap);
+  EXPECT_EQ(LogRuns, NumGranules + 1);
   EXPECT_EQ(Counter.Events.load(), NumPolls + NumGranules);
   EXPECT_EQ(Counter.WithSite.load(), Cap);
   for (const ConflictReport &R : Reports) {
     EXPECT_EQ(R.LastTid, WriterTid);
+    size_t G = (R.Address - reinterpret_cast<uintptr_t>(Buf)) / 16;
     EXPECT_EQ(R.LastSite, R.Address == reinterpret_cast<uintptr_t>(Flag)
                               ? &FlagWrite
-                              : &BufWrite);
+                          : G % 2 ? &OddWrite
+                                  : &EvenWrite);
   }
   RT.deallocate(Buf);
   RT.deallocate(Flag);

@@ -7,7 +7,9 @@
 /// \file
 /// Tests for the Section 4.2.1 dynamic checker: the n-readers-or-1-writer
 /// discipline on 16-byte granules, the shadow bit encoding, access logging
-/// and thread-exit clearing, free() clearing, and granularity behaviour.
+/// and thread-exit clearing, free() clearing, and granularity behaviour,
+/// and a differential test of the word-wide shadow path against a
+/// per-granule model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +19,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
+#include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace sharc;
@@ -387,3 +393,207 @@ TEST(ThreadRegistryTest, ConcurrentThreadsGetDistinctIds) {
     EXPECT_LE(Tid, RT.getConfig().maxThreads());
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Differential test: the word-wide shadow path against a per-granule model
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The checker of Section 4.2.1 one granule at a time: each granule's
+/// reader/writer set as one lane value, and each state's first-access log
+/// as one entry per granule. This is the reference ShadowMemory's word
+/// path must agree with, report for report.
+class GranuleModel {
+public:
+  GranuleModel(size_t NumGranules, unsigned NumStates)
+      : Cells(NumGranules), Logs(NumStates) {}
+
+  /// A check of granules [First, Last] by state \p K; appends the reports
+  /// the sink would retain to \p Kept. \returns the check's verdict.
+  bool check(bool IsWrite, size_t First, size_t Last, unsigned K,
+             const std::vector<ThreadState *> &States, const AccessSite *Site,
+             uintptr_t Base, unsigned GranuleShift,
+             std::vector<ConflictReport> &Kept) {
+    unsigned Tid = States[K]->Tid;
+    uint64_t Own = uint64_t(1) << Tid;
+    bool Ok = true;
+    for (size_t G = First; G <= Last; ++G) {
+      uint64_t Cur = Cells[G];
+      uint64_t Others = Cur & ~(Own | 1);
+      bool Conflict = IsWrite ? Others != 0 : (Cur & 1) != 0 && Others != 0;
+      if ((Cur & Own) == 0)
+        Logs[K].push_back({G, Site});
+      if (Conflict)
+        Cells[G] = IsWrite ? (Own | 1) : (Cur | Own);
+      else
+        Cells[G] = Cur | Own | (IsWrite ? 1 : 0);
+      if (!Conflict)
+        continue;
+      Ok = false;
+      ++Violations;
+      ConflictReport R;
+      R.Kind = IsWrite ? ReportKind::WriteConflict : ReportKind::ReadConflict;
+      R.Address = Base + (uintptr_t(G) << GranuleShift);
+      R.WhoTid = Tid;
+      R.WhoSite = Site;
+      R.LastTid = static_cast<unsigned>(std::countr_zero(Others));
+      R.LastWasWrite = (Cur & 1) != 0;
+      if (!Seen.insert({unsigned(R.Kind), Site, G}).second)
+        continue;
+      for (unsigned S = 0; S != States.size(); ++S)
+        if (States[S]->Tid == R.LastTid)
+          for (const auto &[LoggedG, LoggedSite] : Logs[S])
+            if (LoggedG == G)
+              R.LastSite = LoggedSite;
+      Kept.push_back(R);
+    }
+    return Ok;
+  }
+
+  void clear(size_t First, size_t Last) {
+    for (size_t G = First; G <= Last; ++G)
+      Cells[G] = 0;
+  }
+
+  /// Thread exit: the state's bits leave every granule it logged, and a
+  /// granule it was the sole writer of resets.
+  void exit(unsigned K, unsigned Tid) {
+    uint64_t Own = uint64_t(1) << Tid;
+    for (const auto &Entry : Logs[K]) {
+      uint64_t &Cell = Cells[Entry.first];
+      Cell = Cell == (Own | 1) ? 0 : Cell & ~Own;
+    }
+    Logs[K].clear();
+  }
+
+  std::vector<uint64_t> Cells;
+  std::vector<std::vector<std::pair<size_t, const AccessSite *>>> Logs;
+  std::set<std::tuple<unsigned, const AccessSite *, size_t>> Seen;
+  uint64_t Violations = 0;
+};
+
+void expectSameReport(const ConflictReport &Got, const ConflictReport &Want,
+                      unsigned Op) {
+  EXPECT_EQ(Got.Kind, Want.Kind) << "op " << Op;
+  EXPECT_EQ(Got.Address, Want.Address) << "op " << Op;
+  EXPECT_EQ(Got.WhoTid, Want.WhoTid) << "op " << Op;
+  EXPECT_EQ(Got.WhoSite, Want.WhoSite) << "op " << Op;
+  EXPECT_EQ(Got.LastTid, Want.LastTid) << "op " << Op;
+  EXPECT_EQ(Got.LastWasWrite, Want.LastWasWrite) << "op " << Op;
+  EXPECT_EQ(Got.LastSite, Want.LastSite) << "op " << Op;
+}
+
+} // namespace
+
+class ShadowDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
+
+TEST_P(ShadowDifferentialTest, WordPathMatchesPerGranuleModel) {
+  // One thread drives a standalone ShadowMemory through several
+  // registered states: reads and writes of random size and alignment
+  // (ranges cross words and 4 KiB pages), range clears, and exits
+  // followed by re-registration. Every verdict, every retained report and
+  // the shadow of every touched granule must match the model.
+  const auto [ShadowBytes, GranuleShift] = GetParam();
+  RuntimeConfig Config;
+  Config.ShadowBytesPerGranule = ShadowBytes;
+  Config.GranuleShift = GranuleShift;
+  ReportSink Sink(size_t(1) << 20);
+  ThreadRegistry Registry(Config.maxThreads());
+  ShadowMemory Shadow(Config, Sink, Registry);
+
+  constexpr size_t PageBytes = 4096;
+  constexpr size_t ArenaBytes = 4 * PageBytes;
+  std::vector<char> Storage(ArenaBytes + PageBytes);
+  char *Arena = reinterpret_cast<char *>(
+      (reinterpret_cast<uintptr_t>(Storage.data()) + PageBytes - 1) &
+      ~uintptr_t(PageBytes - 1));
+  const uintptr_t Base = reinterpret_cast<uintptr_t>(Arena);
+  const size_t NumGranules = ArenaBytes >> GranuleShift;
+
+  constexpr unsigned NumStates = 5; // within the 7 ids of one shadow byte
+  std::vector<ThreadState *> States;
+  for (unsigned K = 0; K != NumStates; ++K)
+    States.push_back(Registry.registerThread());
+  static const AccessSite Sites[] = {
+      {"a[i]", "diff.c", 1}, {"a[i]", "diff.c", 2}, {"*p", "diff.c", 3}};
+  GranuleModel Model(NumGranules, NumStates);
+  std::vector<ConflictReport> Expected;
+
+  std::mt19937_64 Rng(1000 + 10 * ShadowBytes + GranuleShift);
+  auto Pick = [&](uint64_t N) { return static_cast<size_t>(Rng() % N); };
+  constexpr unsigned NumOps = 6000;
+  size_t Compared = 0; // reports already compared
+  for (unsigned Op = 0; Op != NumOps; ++Op) {
+    unsigned K = static_cast<unsigned>(Pick(NumStates));
+    unsigned Roll = static_cast<unsigned>(Pick(100));
+    if (Roll < 3) {
+      Shadow.clearThreadBits(*States[K]);
+      Model.exit(K, States[K]->Tid);
+      Registry.deregisterThread(States[K]);
+      States[K] = Registry.registerThread();
+      for (size_t G = 0; G != NumGranules; ++G)
+        ASSERT_EQ(Shadow.peekWord(Arena + (G << GranuleShift)),
+                  Model.Cells[G])
+            << "op " << Op << " granule " << G;
+      continue;
+    }
+    // Mostly short accesses, some spanning words, some spanning pages.
+    size_t Off, Size;
+    unsigned Shape = static_cast<unsigned>(Pick(10));
+    if (Shape < 3) {
+      // Runs of neighbouring first accesses, as a loop makes them.
+      Off = Pick(ArenaBytes / 64) * 64;
+      Size = 1 + Pick(8);
+    } else if (Shape < 6) {
+      Off = Pick(ArenaBytes);
+      Size = Pick(17);
+    } else if (Shape < 9) {
+      Off = Pick(ArenaBytes);
+      Size = 1 + Pick(512);
+    } else {
+      Off = Pick(ArenaBytes);
+      Size = 1 + Pick(2 * PageBytes + 100);
+    }
+    Size = std::min(Size, ArenaBytes - Off);
+    size_t First = Off >> GranuleShift;
+    size_t Last = (Off + std::max<size_t>(Size, 1) - 1) >> GranuleShift;
+    if (Roll < 10) {
+      Shadow.clearRange(Arena + Off, Size);
+      Model.clear(First, Last);
+    } else {
+      bool IsWrite = Roll < 45;
+      const AccessSite *Site = &Sites[Pick(std::size(Sites))];
+      bool Ok = IsWrite ? Shadow.checkWrite(Arena + Off, Size, *States[K], Site)
+                        : Shadow.checkRead(Arena + Off, Size, *States[K], Site);
+      bool Want = Model.check(IsWrite, First, Last, K, States, Site, Base,
+                              GranuleShift, Expected);
+      ASSERT_EQ(Ok, Want) << "op " << Op;
+    }
+    for (size_t G = First; G <= Last; ++G)
+      ASSERT_EQ(Shadow.peekWord(Arena + (G << GranuleShift)), Model.Cells[G])
+          << "op " << Op << " granule " << G;
+    ASSERT_EQ(Sink.getNumReports(), Expected.size()) << "op " << Op;
+    if (Expected.size() != Compared) {
+      std::vector<ConflictReport> Got = Sink.getReports();
+      for (; Compared != Expected.size(); ++Compared)
+        expectSameReport(Got[Compared], Expected[Compared], Op);
+    }
+  }
+  std::vector<ConflictReport> Got = Sink.getReports();
+  ASSERT_EQ(Got.size(), Expected.size());
+  for (size_t I = 0; I != Got.size(); ++I)
+    expectSameReport(Got[I], Expected[I], NumOps);
+  EXPECT_EQ(Sink.getTotalViolations(), Model.Violations);
+  EXPECT_GT(Model.Violations, 0u);
+  for (ThreadState *TS : States) {
+    Shadow.clearThreadBits(*TS);
+    Registry.deregisterThread(TS);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsAndGranules, ShadowDifferentialTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Values(2u, 4u)));
