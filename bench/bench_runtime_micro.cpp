@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark microbenchmarks for the mechanisms of Section 4.2/4.3:
-// shadow check fast path (bits already set) and cold path, lock-log
+// shadow check fast path (bits already set) and first accesses (one
+// granule, and a 4 KiB range), lock-log
 // lookup, counted stores under each engine, sharing casts (which under
 // Levanoni-Petrank include a collection), and thread-exit clearing via
 // the first-access log. The fast-path rows also run on 4 threads
@@ -138,6 +139,10 @@ void BM_ChkWriteHitOwn(benchmark::State &State) {
 }
 BENCHMARK(BM_ChkWriteHitOwn)->Apply(onFourThreads);
 
+/// First accesses: every check sets this thread's bit in a granule it has
+/// not touched since the bit was last clear. Past the end of the 4 MiB
+/// buffer the buffer's shadow is cleared, with timing paused, so every
+/// timed check stays a first access; the shadow pages stay.
 void BM_ChkReadColdGranules(benchmark::State &State) {
   RuntimeScope Scope;
   rt::Runtime &RT = rt::Runtime::get();
@@ -146,11 +151,40 @@ void BM_ChkReadColdGranules(benchmark::State &State) {
   size_t Offset = 0;
   for (auto _ : State) {
     benchmark::DoNotOptimize(RT.checkRead(Buf + Offset, 1, nullptr));
-    Offset = (Offset + 16) % Bytes; // a new granule every time
+    Offset += 16; // a new granule every time
+    if (Offset == Bytes) {
+      State.PauseTiming();
+      RT.getShadow().clearRange(Buf, Bytes);
+      Offset = 0;
+      State.ResumeTiming();
+    }
   }
   RT.deallocate(Buf);
 }
 BENCHMARK(BM_ChkReadColdGranules);
+
+/// First-access range reads: one 4 KiB checkRead of granules this thread
+/// has not touched since their bits were last clear, as above.
+void BM_ChkReadRangeCold4K(benchmark::State &State) {
+  RuntimeScope Scope;
+  rt::Runtime &RT = rt::Runtime::get();
+  constexpr size_t Bytes = 1 << 22;
+  char *Buf = static_cast<char *>(RT.allocate(Bytes));
+  size_t Offset = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(RT.checkRead(Buf + Offset, 4096, nullptr));
+    Offset += 4096;
+    if (Offset == Bytes) {
+      State.PauseTiming();
+      RT.getShadow().clearRange(Buf, Bytes);
+      Offset = 0;
+      State.ResumeTiming();
+    }
+  }
+  State.SetBytesProcessed(int64_t(State.iterations()) * 4096);
+  RT.deallocate(Buf);
+}
+BENCHMARK(BM_ChkReadRangeCold4K);
 
 void BM_ChkWriteRange4K(benchmark::State &State) {
   RuntimeScope Scope;

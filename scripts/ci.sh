@@ -30,6 +30,14 @@ echo "== fault-injection sweep =="
 # the policy exit codes, and the crashed-trace truncation sweep.
 (cd "$BUILD" && ctest -R guard --output-on-failure)
 
+echo "== perfbench selftest =="
+# The benchmark's own contract: every workload at smoke size, untraced
+# and traced, checks its answers and prints every metric BENCHMARK.json
+# names; planted wrong verdicts and bad arguments must fail. It builds
+# sharc-perfbench (Release) under .bench_build/, so a runtime change that
+# breaks a workload's answer fails here.
+python3 "$ROOT/perfbench/selftest.py"
+
 echo "== explore shipped examples =="
 # Every shipped example must reach a verdict under a 200-schedule budget
 # within 30 s: exit 0 (clean), 1 (violation) or 4 (budget spent, no

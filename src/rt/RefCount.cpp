@@ -10,7 +10,10 @@ using namespace sharc::rt;
 
 RefCountEngine::RefCountEngine(const RuntimeConfig &Config,
                                ThreadRegistry &Registry)
-    : Config(Config), Registry(Registry) {}
+    : Config(Config), Registry(Registry) {
+  if (Config.Rc == RcMode::LevanoniPetrank)
+    Marks.emplace();
+}
 
 void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
                               ThreadState &TS) {
@@ -57,7 +60,7 @@ void RefCountEngine::storeLevanoniPetrank(uintptr_t *Slot, uintptr_t New,
   // has its entry. A store that loses the race to mark the slot voids its
   // own entry, which no collector reads before this barrier ends.
   std::atomic<RcLogEntry *> &Mark =
-      Marks.insert(reinterpret_cast<uintptr_t>(Slot)).Logged[E & 1];
+      Marks->insert(reinterpret_cast<uintptr_t>(Slot)).Logged[E & 1];
   if (!Mark.load(std::memory_order_relaxed)) {
     RcLogEntry &Entry =
         TS.RcLogs[E & 1].push({reinterpret_cast<uintptr_t>(Slot), Old});
@@ -120,7 +123,7 @@ void RefCountEngine::collectLocked() {
       if (!Entry.Slot)
         return;
       uintptr_t Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
-      SlotMark &M = *Marks.find(Entry.Slot);
+      SlotMark &M = *Marks->find(Entry.Slot);
       if (const RcLogEntry *Live =
               M.Logged[NewIndex].load(std::memory_order_acquire))
         Current = Live->Old;

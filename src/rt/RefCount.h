@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 
 namespace sharc {
 namespace rt {
@@ -90,7 +91,8 @@ public:
   /// Bytes of counting metadata: the count table's entries and the slots'
   /// dirty marks.
   size_t memoryFootprint() const {
-    return Table.memoryFootprint() + Marks.getNumEntries() * markEntryBytes();
+    return Table.memoryFootprint() +
+           (Marks ? Marks->getNumEntries() * markEntryBytes() : 0);
   }
 
   /// Registers a callback run at the end of each collection while the
@@ -117,8 +119,9 @@ private:
   const RuntimeConfig &Config;
   ThreadRegistry &Registry;
   RcTable Table;
-  /// Keyed by slot address.
-  MarkIndex Marks;
+  /// Keyed by slot address; built only under LevanoniPetrank, the one
+  /// engine that marks slots.
+  std::optional<MarkIndex> Marks;
   std::atomic<uint32_t> Epoch{0};
   std::mutex CollectorMutex;
   /// Written only under CollectorMutex.

@@ -119,7 +119,7 @@ bool ShadowMemory::checkWord(uint64_t &Word, uint64_t Sel, uintptr_t WordAddr,
     // First accesses are logged before the CAS publishes their bits. A
     // lane cleared since the last look is a first access again.
     if (uint64_t First = ~Cur & Own & ~Logged) {
-      logLanes(First, WordAddr, TS, Site);
+      logLanes(First, Sel, WordAddr, TS, Site);
       Logged |= First;
     }
     if (Cell.compare_exchange_weak(Cur, Desired, std::memory_order_acq_rel,
@@ -180,13 +180,22 @@ bool ShadowMemory::checkLanes(uint64_t &Word, uint64_t Sel,
   return Ok;
 }
 
-void ShadowMemory::logLanes(uint64_t First, uintptr_t WordAddr,
+void ShadowMemory::logLanes(uint64_t First, uint64_t Sel, uintptr_t WordAddr,
                             ThreadState &TS, const AccessSite *Site) {
   const uintptr_t GranuleBytes = GranuleMask + 1;
+  uint64_t Lanes = First >> TS.Tid; // bit 0 of each lane to log
+  if (Lanes == (Sel & LaneLow)) {
+    // Every lane in range, which are consecutive: one stretch.
+    uintptr_t Lane = uintptr_t(std::countr_zero(Lanes)) >> LaneShift;
+    TS.AccessLog.log(WordAddr + (Lane << GranuleShift),
+                     static_cast<size_t>(std::popcount(Lanes)), GranuleBytes,
+                     Site);
+    return;
+  }
   uintptr_t RunFirst = 0;
   size_t RunLength = 0;
-  for (uint64_t Rest = First >> TS.Tid; Rest; Rest &= Rest - 1) {
-    uintptr_t G = WordAddr + (uintptr_t(std::countr_zero(Rest) >> LaneShift)
+  for (; Lanes; Lanes &= Lanes - 1) {
+    uintptr_t G = WordAddr + (uintptr_t(std::countr_zero(Lanes) >> LaneShift)
                               << GranuleShift);
     if (RunLength != 0 && G == RunFirst + RunLength * GranuleBytes) {
       ++RunLength;

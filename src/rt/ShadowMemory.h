@@ -115,11 +115,12 @@ private:
   template <bool IsWrite>
   bool check(uintptr_t Addr, size_t Size, ThreadState &TS,
              const AccessSite *Site) {
-    if (Size <= GranuleMask + 1 - (Addr & GranuleMask) &&
-        (Addr >> PageShift) == TS.ShadowPage) {
-      size_t G = (Addr & (PageBytes - 1)) >> GranuleShift;
-      std::atomic_ref<uint64_t> Cell(TS.ShadowCells[G >> LanesLog]);
-      unsigned Shift = unsigned(G & ((size_t(1) << LanesLog) - 1)) << LaneShift;
+    if ((Addr >> PageShift) == TS.ShadowPage &&
+        Size <= GranuleMask + 1 - (Addr & GranuleMask)) {
+      // The lane's first bit, counted from the page's first cell.
+      size_t Bit = ((Addr & (PageBytes - 1)) >> GranuleShift) << LaneShift;
+      std::atomic_ref<uint64_t> Cell(TS.ShadowCells[Bit / 64]);
+      unsigned Shift = unsigned(Bit % 64);
       uint64_t Writer = uint64_t(1) << Shift;
       uint64_t Own = Writer << TS.Tid;
       uint64_t Cur = Cell.load(std::memory_order_acquire);
@@ -162,9 +163,10 @@ private:
   bool checkLanes(uint64_t &Word, uint64_t Sel, uintptr_t WordAddr,
                   bool IsWrite, ThreadState &TS, const AccessSite *Site,
                   uint64_t Logged);
-  /// Logs the first accesses whose own bits are \p First, as runs.
-  void logLanes(uint64_t First, uintptr_t WordAddr, ThreadState &TS,
-                const AccessSite *Site);
+  /// Logs the first accesses whose own bits are \p First, lanes of
+  /// \p Sel, as runs.
+  void logLanes(uint64_t First, uint64_t Sel, uintptr_t WordAddr,
+                ThreadState &TS, const AccessSite *Site);
 
   /// Walks the words covering [Addr, Addr+Size), looking each page up
   /// once: Fn(Word, Sel, WordAddr) with Sel the lanes in range and

@@ -626,10 +626,18 @@ TEST(ServeStormTest, DeadlineDropsStaleQueueResidents) {
   // counted timeout instead of burning handler CPU. Server-side
   // timeouts are not retried (no rejection is sent), so the identity
   // closes through the TimedOut column.
+  //
+  // Residents go stale by construction: each worker sleeps 50 ms after
+  // every request it handles, 25 deadlines, longer than all arrivals and
+  // retries take. Every request admitted while the workers sleep is stale
+  // when they wake, however the acceptor is scheduled; only a run that
+  // admitted no more requests than there are workers could miss it.
   LoadConfig LC = stormLoad();
   ServeParams SP = stormParams();
-  SP.ServiceNanos = 500000; // 500us/request: the queue goes stale fast
+  SP.ServiceNanos = 500000; // 500us/request
   SP.DeadlineNanos = 2000000;
+  SP.WorkerStallEvery = 1;
+  SP.WorkerStallNanos = 25 * SP.DeadlineNanos;
   SP.RingCapacity = 4096; // roomy: isolate the deadline path from
                           // ring-full shedding
   StormRun R = runStorm<UncheckedPolicy>(LC, SP);
