@@ -192,22 +192,11 @@ void ShadowMemory::logLanes(uint64_t First, uint64_t Sel, uintptr_t WordAddr,
                      Site);
     return;
   }
-  uintptr_t RunFirst = 0;
-  size_t RunLength = 0;
-  for (; Lanes; Lanes &= Lanes - 1) {
-    uintptr_t G = WordAddr + (uintptr_t(std::countr_zero(Lanes) >> LaneShift)
-                              << GranuleShift);
-    if (RunLength != 0 && G == RunFirst + RunLength * GranuleBytes) {
-      ++RunLength;
-      continue;
-    }
-    if (RunLength != 0)
-      TS.AccessLog.log(RunFirst, RunLength, GranuleBytes, Site);
-    RunFirst = G;
-    RunLength = 1;
-  }
-  if (RunLength != 0)
-    TS.AccessLog.log(RunFirst, RunLength, GranuleBytes, Site);
+  // Otherwise lane by lane; the log grows a run across neighbours.
+  for (; Lanes; Lanes &= Lanes - 1)
+    TS.AccessLog.log(WordAddr + (uintptr_t(std::countr_zero(Lanes) >> LaneShift)
+                                 << GranuleShift),
+                     1, GranuleBytes, Site);
 }
 
 void ShadowMemory::reportConflict(bool IsWrite, uintptr_t Addr,

@@ -93,7 +93,6 @@ public:
     NextGranule = 0;
   }
 
-  bool empty() const { return Runs.empty(); }
   /// Number of runs.
   size_t size() const { return Runs.size(); }
   size_t memoryFootprint() const { return Runs.memoryFootprint(); }

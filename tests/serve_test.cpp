@@ -627,17 +627,19 @@ TEST(ServeStormTest, DeadlineDropsStaleQueueResidents) {
   // timeouts are not retried (no rejection is sent), so the identity
   // closes through the TimedOut column.
   //
-  // Residents go stale by construction: each worker sleeps 50 ms after
-  // every request it handles, 25 deadlines, longer than all arrivals and
-  // retries take. Every request admitted while the workers sleep is stale
-  // when they wake, however the acceptor is scheduled; only a run that
-  // admitted no more requests than there are workers could miss it.
+  // Residents go stale by construction. Deadlines run from the scheduled
+  // arrival, and all 1,200 arrivals fall within about 3 ms. Each worker
+  // sleeps for two deadlines after every request it handles, so any
+  // request still in the ring when the first ones are taken is past its
+  // deadline when a worker next looks, however the threads are
+  // scheduled. The deadline is long enough that the acceptor admits
+  // requests even if it starts tens of milliseconds late.
   LoadConfig LC = stormLoad();
   ServeParams SP = stormParams();
   SP.ServiceNanos = 500000; // 500us/request
-  SP.DeadlineNanos = 2000000;
+  SP.DeadlineNanos = 50000000;
   SP.WorkerStallEvery = 1;
-  SP.WorkerStallNanos = 25 * SP.DeadlineNanos;
+  SP.WorkerStallNanos = 2 * SP.DeadlineNanos;
   SP.RingCapacity = 4096; // roomy: isolate the deadline path from
                           // ring-full shedding
   StormRun R = runStorm<UncheckedPolicy>(LC, SP);
