@@ -97,8 +97,8 @@ public:
   /// first-access log; called at thread exit.
   void clearThreadBits(ThreadState &TS);
 
-  /// \returns the raw shadow word for the granule containing \p Addr, or 0
-  /// if no shadow page exists yet. For tests.
+  /// \returns the shadow cell (its lane of the word) of the granule
+  /// containing \p Addr, or 0 if no shadow page exists yet. For tests.
   uint64_t peekWord(const void *Addr) const;
 
   unsigned granuleSize() const { return 1u << GranuleShift; }

@@ -57,7 +57,8 @@ class FirstAccessLog {
 
 public:
   /// Logs the first accesses to the \p N granules of \p GranuleBytes
-  /// each from \p First up, all from \p Site (owner only).
+  /// each from \p First up, all from \p Site (owner only). \p N is at
+  /// most one shadow word's lanes.
   void log(uintptr_t First, size_t N, size_t GranuleBytes,
            const AccessSite *Site) {
     uint64_t Tag = tag(Site);
@@ -108,14 +109,9 @@ private:
 
   [[gnu::noinline]] void append(uintptr_t First, size_t N,
                                 size_t GranuleBytes, uint64_t Tag) {
-    NextGranule = First;
-    while (N != 0) {
-      size_t Count = N < MaxCount ? N : MaxCount;
-      NewestWord = (uint64_t(Count) << CountShift) | Tag;
-      Newest = &Runs.push({NextGranule, NewestWord});
-      NextGranule += Count * GranuleBytes;
-      N -= Count;
-    }
+    NewestWord = (uint64_t(N) << CountShift) | Tag;
+    Newest = &Runs.push({First, NewestWord});
+    NextGranule = First + N * GranuleBytes;
   }
 
   ChunkedLog<AccessRun> Runs;
