@@ -6,12 +6,12 @@
 //
 // google-benchmark microbenchmarks for the mechanisms of Section 4.2/4.3:
 // shadow check fast path (bits already set) and first accesses (one
-// granule, and a 4 KiB range), lock-log
-// lookup, counted stores under each engine, sharing casts (which under
-// Levanoni-Petrank include a collection), and thread-exit clearing via
-// the first-access log. The fast-path rows also run on 4 threads
-// (.../threads:4): a read of one shared granule, and writes, lock checks
-// and counted stores on each thread's own granule, lock set or slot.
+// granule, and a 4 KiB range), lock-log lookup, counted stores under each
+// engine, sharing casts (which under Levanoni-Petrank include a
+// collection), and thread-exit clearing via the first-access log. The
+// fast-path rows also run on 4 threads (.../threads:4): a read of one
+// shared granule, and writes, lock checks and counted stores on each
+// thread's own granule, lock set or slot.
 //
 //===----------------------------------------------------------------------===//
 
