@@ -74,22 +74,35 @@ echo "== sanitizers =="
 # reads against concurrent collections), the facade, profiling,
 # reader-writer locks, the stats endpoint, the guard layer, and the
 # Table 1 workloads, each of which runs the shadow and reference-count
-# indexes on several threads.
+# indexes on several threads. Both lanes also run serve_test's
+# SharcPolicy cases, the only ones that drive sharc::Mutex, CondVar and
+# Locked<T> from several threads through the serve pipeline.
 # Any sanitizer report fails the run. The rest of the suite stays out of
-# these lanes for now: serve_test's timing-sensitive cases fail under
-# the sanitizers' slowdown without any report.
+# these lanes for now: serve_test's UncheckedPolicy cases are
+# timing-sensitive and fail under the sanitizers' slowdown without any
+# report.
 export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export TSAN_OPTIONS=halt_on_error=1
-san_lane() { # <build-dir> <cxx-flags> <test...>
+SERVE_SHARC_CASES="ServeServerTest.*:ServeRingTest.TryPushBackpressureSharc"
+SERVE_SHARC_CASES="$SERVE_SHARC_CASES:ServeStormTest.SharcPolicyOverloadIsViolationFree"
+san_lane() { # <build-dir> <cxx-flags> <test[=gtest-filter]...>
   DIR=$1
   FLAGS=$2
   shift 2
+  TARGETS=
+  for T in "$@"; do
+    TARGETS="$TARGETS ${T%%=*}"
+  done
   cmake -B "$DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$FLAGS" >/dev/null
-  cmake --build "$DIR" -j "$JOBS" --target "$@"
+  # shellcheck disable=SC2086
+  cmake --build "$DIR" -j "$JOBS" --target $TARGETS
   for T in "$@"; do
-    "$DIR/tests/$T" --gtest_brief=1
+    case $T in
+      *=*) "$DIR/tests/${T%%=*}" --gtest_brief=1 --gtest_filter="${T#*=}" ;;
+      *) "$DIR/tests/$T" --gtest_brief=1 ;;
+    esac
   done
 }
 ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
@@ -98,12 +111,12 @@ san_lane "$BUILD/asan" \
   racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
   rt_refcount_test rt_runtime_test rt_profile_test rt_rwlock_test \
   stats_endpoint_test checker_test interp_test interp_lang_test \
-  explore_test workloads_test guard_test
+  explore_test workloads_test guard_test "serve_test=$SERVE_SHARC_CASES"
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test rt_refcount_test rt_shadow_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
   checker_test interp_test interp_lang_test explore_test workloads_test \
-  guard_test
+  guard_test "serve_test=$SERVE_SHARC_CASES"
 
 echo "== fuzz smoke =="
 "$BUILD/src/fuzz/sharc-fuzz" --count 100 --schedules 4 --seed 1 --quiet

@@ -160,27 +160,6 @@ bool parseU64Arg(const char *Flag, const char *Text, uint64_t &Out) {
   return parseFlagU64("sharcc", Flag, Text, Out);
 }
 
-/// Matches a value-taking flag in either spelling, "--flag VALUE" or
-/// "--flag=VALUE". \returns true when Argv[I] is \p Flag; \p Value then
-/// points at the flag's argument, or is null when the argument is
-/// missing (the caller reports usage). Advances \p I past a separate
-/// value argument.
-bool matchValueFlag(const char *Flag, int Argc, char **Argv, int &I,
-                    const char *&Value) {
-  const char *Arg = Argv[I];
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(Arg, Flag, Len) != 0)
-    return false;
-  if (Arg[Len] == '=') {
-    Value = Arg + Len + 1;
-    return true;
-  }
-  if (Arg[Len] != '\0')
-    return false; // a longer flag sharing this prefix
-  Value = I + 1 < Argc ? Argv[++I] : nullptr;
-  return true;
-}
-
 /// 0 = parsed; 1 = parsed and exit 0 requested (--help); 2 = usage error.
 int parseArgs(int Argc, char **Argv, DriverOptions &Options) {
   // The paper's fail-fast semantics is sharcc's default; SHARC_POLICY

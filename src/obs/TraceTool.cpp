@@ -686,15 +686,8 @@ void printEventLine(const obs::Event &Ev) {
 /// Parses "--flag N" / "--flag=N" unsigned arguments for the tail and
 /// compare-runs option loops.
 bool numArg(const char *Flag, int Argc, char **Argv, int &I, uint64_t &Out) {
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(Argv[I], Flag, Len) != 0)
-    return false;
   const char *Value = nullptr;
-  if (Argv[I][Len] == '=')
-    Value = Argv[I] + Len + 1;
-  else if (Argv[I][Len] == '\0' && I + 1 < Argc)
-    Value = Argv[++I];
-  else if (Argv[I][Len] != '\0')
+  if (!matchValueFlag(Flag, Argc, Argv, I, Value))
     return false;
   if (!Value || !*Value) {
     std::fprintf(stderr, "sharc-trace: %s needs a value\n", Flag);

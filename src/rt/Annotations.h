@@ -78,8 +78,8 @@ private:
 
 namespace detail {
 
-/// The acquire path of Mutex and SharedMutex (exclusive or shared hold)
-/// while the watchdog or profiling is armed. Profiling times the acquire
+/// The acquire path of CheckedMutex (exclusive or shared hold) while the
+/// watchdog or profiling is armed. Profiling times the acquire
 /// and attributes its wait to \p Site. The watchdog files a stall report
 /// naming the holder if the lock is not obtained within the watchdog
 /// interval, or at once under an injected lock-timeout fault, and then
@@ -124,113 +124,74 @@ void acquireArmed(rt::Runtime &RT, MutexT &Impl, const void *Lock,
   }
   if (WatchdogMillis != 0 && !Shared)
     RT.noteLockHolder(Lock, Site);
-  const uint64_t WaitCycles = Contended ? rt::readTsc() - Start : 0;
-  if constexpr (Shared) {
-    if (Profiled)
-      RT.onSharedLockAcquireProfiled(Lock, Site, WaitCycles, Contended);
-    else
-      RT.onSharedLockAcquire(Lock);
-  } else {
-    if (Profiled)
-      RT.onLockAcquireProfiled(Lock, Site, WaitCycles, Contended);
-    else
-      RT.onLockAcquire(Lock);
-  }
+  // Without profiling the thread has no profile, so this logs the hold
+  // and counts nothing.
+  RT.onLockAcquireProfiled(Lock, Site, Contended ? rt::readTsc() - Start : 0,
+                           Contended, Shared);
 }
 
-} // namespace detail
-
-/// Mutex whose acquire/release maintain the per-thread lock log the
-/// locked-mode check consults (Section 4.2.2). When profiling is on or
-/// the guard watchdog is armed (GuardConfig::WatchdogMillis or
-/// SHARC_WATCHDOG_MS), acquires go through detail::acquireArmed.
-class Mutex {
+/// A standard mutex whose acquire and release maintain the per-thread
+/// lock log the locked-mode check consults (Section 4.2.2): Mutex, and
+/// the exclusive side of SharedMutex. When profiling is on or the guard
+/// watchdog is armed (GuardConfig::WatchdogMillis or SHARC_WATCHDOG_MS),
+/// acquires go through acquireArmed.
+template <typename MutexT> class CheckedMutex {
 public:
-  Mutex() = default;
+  CheckedMutex() = default;
   /// \p Site names where the lock lives; contention with no per-acquire
   /// site falls back to it in profiles.
-  explicit Mutex(const AccessSite *Site) : DeclSite(Site) {}
+  explicit CheckedMutex(const AccessSite *Site) : DeclSite(Site) {}
 
   void lock(const AccessSite *Site = nullptr) {
+    acquire</*Shared=*/false>(Site);
+  }
+  void unlock() { release</*Shared=*/false>(); }
+
+protected:
+  /// Takes the lock, as a reader when \p Shared, and logs the hold.
+  template <bool Shared> void acquire(const AccessSite *Site) {
     rt::Runtime &RT = rt::Runtime::get();
     if (RT.watchdogMillis() != 0 || RT.profilingEnabled()) [[unlikely]] {
-      detail::acquireArmed</*Shared=*/false>(RT, Impl, this, site(Site));
+      acquireArmed<Shared>(RT, Impl, this, Site ? Site : DeclSite);
       return;
     }
-    Impl.lock();
-    RT.onLockAcquire(this);
-  }
-  void unlock() {
-    rt::Runtime::get().onLockRelease(this);
-    Impl.unlock();
-  }
-  bool try_lock() {
-    if (!Impl.try_lock())
-      return false;
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]]
-      RT.noteLockHolder(this, site(nullptr));
-    if (RT.profilingEnabled()) [[unlikely]]
-      RT.onLockAcquireProfiled(this, site(nullptr), 0, false);
+    if constexpr (Shared)
+      Impl.lock_shared();
     else
-      RT.onLockAcquire(this);
-    return true;
+      Impl.lock();
+    RT.onLockAcquire(this, Shared);
+  }
+  template <bool Shared> void release() {
+    rt::Runtime::get().onLockRelease(this, Shared);
+    if constexpr (Shared)
+      Impl.unlock_shared();
+    else
+      Impl.unlock();
   }
 
 private:
-  const AccessSite *site(const AccessSite *S) const {
-    return S ? S : DeclSite;
-  }
-
-  std::mutex Impl;
+  MutexT Impl;
   const AccessSite *DeclSite = nullptr;
 };
+
+} // namespace detail
+
+/// The lock of the locked(L) mode.
+using Mutex = detail::CheckedMutex<std::mutex>;
 
 using LockGuard = std::lock_guard<Mutex>;
 using UniqueLock = std::unique_lock<Mutex>;
 
-/// Reader-writer mutex maintaining the lock log in both modes: exclusive
-/// holds land in the ordinary lock log, shared holds in the shared log.
-/// Supports the rwlocked sharing mode (a Section 7 extension).
-class SharedMutex {
+/// The lock of the rwlocked(L) mode (a Section 7 extension): a Mutex
+/// whose shared holds also enter the lock log, marked shared.
+class SharedMutex : public detail::CheckedMutex<std::shared_mutex> {
 public:
-  SharedMutex() = default;
-  explicit SharedMutex(const AccessSite *Site) : DeclSite(Site) {}
+  using CheckedMutex::CheckedMutex;
 
-  void lock(const AccessSite *Site = nullptr) {
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0 || RT.profilingEnabled()) [[unlikely]] {
-      detail::acquireArmed</*Shared=*/false>(RT, Impl, this, site(Site));
-      return;
-    }
-    Impl.lock();
-    RT.onLockAcquire(this);
-  }
-  void unlock() {
-    rt::Runtime::get().onLockRelease(this);
-    Impl.unlock();
-  }
   void lock_shared(const AccessSite *Site = nullptr) {
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0 || RT.profilingEnabled()) [[unlikely]] {
-      detail::acquireArmed</*Shared=*/true>(RT, Impl, this, site(Site));
-      return;
-    }
-    Impl.lock_shared();
-    RT.onSharedLockAcquire(this);
+    acquire</*Shared=*/true>(Site);
   }
-  void unlock_shared() {
-    rt::Runtime::get().onSharedLockRelease(this);
-    Impl.unlock_shared();
-  }
-
-private:
-  const AccessSite *site(const AccessSite *S) const {
-    return S ? S : DeclSite;
-  }
-
-  std::shared_mutex Impl;
-  const AccessSite *DeclSite = nullptr;
+  void unlock_shared() { release</*Shared=*/true>(); }
 };
 
 using SharedLockGuard = std::shared_lock<SharedMutex>;
@@ -423,11 +384,11 @@ public:
   RwLocked(SharedMutex &Lock, T Init) : Lock(&Lock), Value(std::move(Init)) {}
 
   T read(const AccessSite *Site = nullptr) const {
-    rt::Runtime::get().checkRwLockHeldForRead(Lock, &Value, Site);
+    rt::Runtime::get().checkLockHeld(Lock, &Value, Site, /*SharedOk=*/true);
     return Value;
   }
   void write(T NewValue, const AccessSite *Site = nullptr) {
-    rt::Runtime::get().checkRwLockHeldForWrite(Lock, &Value, Site);
+    rt::Runtime::get().checkLockHeld(Lock, &Value, Site);
     Value = std::move(NewValue);
   }
 

@@ -61,10 +61,6 @@ struct RuntimeConfig {
   /// SHARC_POLICY from the environment, which overrides OnViolation.
   guard::GuardConfig Guard;
 
-  /// Maximum number of distinct conflict reports retained (deduplicated by
-  /// site and granule). Further conflicts only bump counters.
-  size_t MaxReports = 256;
-
   /// Observability sink. When non-null the runtime publishes structured
   /// events (accesses, lock transitions, sharing casts, conflicts, stats
   /// samples) to it; the sink must be thread-safe (obs::Collector) and

@@ -24,8 +24,6 @@ static sharc::obs::ConflictKind toConflictKind(ReportKind Kind) {
     return CK::LockViolation;
   case ReportKind::CastError:
     return CK::CastError;
-  case ReportKind::LiveAfterCast:
-    return CK::LiveAfterCast;
   case ReportKind::StallTimeout:
   case ReportKind::ResourceExhausted:
     return CK::RuntimeError;
@@ -43,8 +41,6 @@ static const char *kindName(ReportKind Kind) {
     return "lock violation";
   case ReportKind::CastError:
     return "sharing cast error";
-  case ReportKind::LiveAfterCast:
-    return "live-after-cast warning";
   case ReportKind::StallTimeout:
     return "stall timeout";
   case ReportKind::ResourceExhausted:

@@ -42,12 +42,15 @@ enum class ReportKind : uint8_t {
   WriteConflict,  ///< Racy write of a dynamic-mode location.
   LockViolation,  ///< Access to a locked-mode location without its lock.
   CastError,      ///< Sharing cast of an object with other live references.
-  LiveAfterCast,  ///< Warning: pointer definitely live after being nulled.
   StallTimeout,   ///< Watchdog: a lock wait or cast drain exceeded its budget.
   ResourceExhausted, ///< OOM / capacity failure routed through the guard.
 };
 
-constexpr size_t NumReportKinds = 7;
+constexpr size_t NumReportKinds = 6;
+
+/// How many distinct reports (deduplicated by kind, site and granule) the
+/// runtime's sink retains. Further conflicts only bump the totals.
+constexpr size_t MaxRuntimeReports = 256;
 
 /// One detected violation.
 struct ConflictReport {

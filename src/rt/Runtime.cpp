@@ -26,11 +26,24 @@ uint64_t NextGeneration = 1;
 /// Deferred-free backlog size that forces a collection to release memory.
 constexpr size_t DeferredFreeThreshold = 1u << 14;
 
+/// Runs \p Check and, when \p T profiles, charges it to \p Site as one
+/// operation of \p Kind over \p Bytes (rt/Profile.h).
+template <typename FnT>
+bool profiled(ThreadState &T, const AccessSite *Site,
+              sharc::obs::CheckKind Kind, uint64_t Bytes, FnT Check) {
+  ThreadProfile *Prof = T.Prof.get();
+  uint64_t T0 = Prof ? Prof->begin() : 0;
+  bool Ok = Check();
+  if (Prof)
+    Prof->commit(Site, Kind, Bytes, T0);
+  return Ok;
+}
+
 } // namespace
 
 // Private constructor/destructor need access to members; defined here.
 Runtime::Runtime(const RuntimeConfig &Config)
-    : Config(Config), Sink(Config.MaxReports), Registry(Config.maxThreads()),
+    : Config(Config), Sink(MaxRuntimeReports), Registry(Config.maxThreads()),
       Generation(NextGeneration++) {
   // Failure-semantics resolution (DESIGN.md §12): SHARC_POLICY overrides
   // the configured guard policy so deployed binaries can switch policies
@@ -116,47 +129,37 @@ Runtime::~Runtime() {
     });
 }
 
-bool Runtime::observedCheckRead(ThreadState &T, const void *Addr, size_t Size,
-                                const AccessSite *Site) {
-  if (T.Prof) [[unlikely]] {
-    uint64_t T0 = T.Prof->begin();
-    bool Ok = Shadow->checkRead(Addr, Size, T, Site);
-    T.Prof->commit(Site, obs::CheckKind::DynamicRead, Size ? Size : 1, T0);
-    publishAccess(obs::EventKind::Read, Addr, Size, T.Tid);
-    return Ok;
-  }
-  bool Ok = Shadow->checkRead(Addr, Size, T, Site);
-  publishAccess(obs::EventKind::Read, Addr, Size, T.Tid);
+template <bool IsWrite>
+bool Runtime::observedCheck(ThreadState &T, const void *Addr, size_t Size,
+                            const AccessSite *Site) {
+  constexpr auto Kind =
+      IsWrite ? obs::CheckKind::DynamicWrite : obs::CheckKind::DynamicRead;
+  bool Ok = profiled(T, Site, Kind, Size ? Size : 1, [&] {
+    return IsWrite ? Shadow->checkWrite(Addr, Size, T, Site)
+                   : Shadow->checkRead(Addr, Size, T, Site);
+  });
+  publishAccess(IsWrite ? obs::EventKind::Write : obs::EventKind::Read, Addr,
+                Size, T.Tid);
   return Ok;
 }
-
-bool Runtime::observedCheckWrite(ThreadState &T, const void *Addr, size_t Size,
-                                 const AccessSite *Site) {
-  if (T.Prof) [[unlikely]] {
-    uint64_t T0 = T.Prof->begin();
-    bool Ok = Shadow->checkWrite(Addr, Size, T, Site);
-    T.Prof->commit(Site, obs::CheckKind::DynamicWrite, Size ? Size : 1, T0);
-    publishAccess(obs::EventKind::Write, Addr, Size, T.Tid);
-    return Ok;
-  }
-  bool Ok = Shadow->checkWrite(Addr, Size, T, Site);
-  publishAccess(obs::EventKind::Write, Addr, Size, T.Tid);
-  return Ok;
-}
+template bool Runtime::observedCheck<false>(ThreadState &, const void *,
+                                            size_t, const AccessSite *);
+template bool Runtime::observedCheck<true>(ThreadState &, const void *,
+                                           size_t, const AccessSite *);
 
 void Runtime::rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
                               ThreadState &T) {
-  // RcMode::None never counts an RC barrier, so profiling nothing here
-  // keeps profile totals exactly equal to the final StatsSnapshot.
-  if (Config.Rc == RcMode::None) {
+  auto Store = [&] {
     Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot),
                  reinterpret_cast<uintptr_t>(Value), T);
-    return;
-  }
-  uint64_t T0 = T.Prof->begin();
-  Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot),
-               reinterpret_cast<uintptr_t>(Value), T);
-  T.Prof->commit(Site, obs::CheckKind::RcBarrier, sizeof(void *), T0);
+    return true;
+  };
+  // RcMode::None never counts an RC barrier, so profiling nothing here
+  // keeps profile totals exactly equal to the final StatsSnapshot.
+  if (Config.Rc == RcMode::None)
+    Store();
+  else
+    profiled(T, Site, obs::CheckKind::RcBarrier, sizeof(void *), Store);
 }
 
 void Runtime::init(const RuntimeConfig &Config) {
@@ -196,16 +199,17 @@ void Runtime::deregisterCurrentThread() {
   // reusing the id starts clean.
   Shadow->clearThreadBits(*State);
   State->HeldLocks.clear();
-  State->HeldSharedLocks.clear();
   Registry.deregisterThread(State);
   TlsCache.State = nullptr;
   TlsCache.Generation = 0;
 }
 
-void Runtime::onLockAcquire(const void *Lock) {
-  currentThread().HeldLocks.push_back(Lock);
+void Runtime::onLockAcquire(const void *Lock, bool Shared) {
+  currentThread().HeldLocks.push_back({Lock, Shared});
   if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::LockAcquire, Lock, 0);
+    publishEvent(Shared ? obs::EventKind::SharedLockAcquire
+                        : obs::EventKind::LockAcquire,
+                 Lock, 0);
 }
 
 void Runtime::onLockWait(const void *Lock, const AccessSite *Site) {
@@ -220,38 +224,39 @@ void Runtime::onLockWait(const void *Lock, const AccessSite *Site) {
 }
 
 void Runtime::onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
-                                    uint64_t WaitCycles, bool Contended) {
+                                    uint64_t WaitCycles, bool Contended,
+                                    bool Shared) {
   ThreadState &TS = currentThread();
-  TS.HeldLocks.push_back(Lock);
   if (TS.Prof) {
     TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
     TS.Counters.bump(Counter::LockAcquires);
     TS.Counters.bump(Counter::LockContended, Contended);
     TS.Counters.bump(Counter::LockWaitUnits, WaitCycles);
   }
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::LockAcquire, Lock, 0);
+  onLockAcquire(Lock, Shared);
 }
 
-void Runtime::onLockRelease(const void *Lock) {
+void Runtime::onLockRelease(const void *Lock, bool Shared) {
   ThreadState &TS = currentThread();
   if (TS.Prof) [[unlikely]]
     TS.Counters.bump(Counter::LockHoldUnits, TS.Prof->lockReleased(Lock));
-  if (Config.Guard.WatchdogMillis != 0) [[unlikely]] {
+  // Only an exclusive acquire notes a holder.
+  if (!Shared && Config.Guard.WatchdogMillis != 0) [[unlikely]] {
     std::lock_guard<std::mutex> G(GuardMutex);
     LockHolders.erase(reinterpret_cast<uintptr_t>(Lock));
   }
-  auto It = std::find(TS.HeldLocks.rbegin(), TS.HeldLocks.rend(), Lock);
+  auto It = std::ranges::find(TS.HeldLocks.rbegin(), TS.HeldLocks.rend(),
+                              LockHold{Lock, Shared});
   assert(It != TS.HeldLocks.rend() && "releasing a lock that is not held");
   TS.HeldLocks.erase(std::next(It).base());
   if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::LockRelease, Lock, 0);
+    publishEvent(Shared ? obs::EventKind::SharedLockRelease
+                        : obs::EventKind::LockRelease,
+                 Lock, 0);
 }
 
-bool Runtime::holdsLock(const void *Lock) {
-  ThreadState &TS = currentThread();
-  return std::find(TS.HeldLocks.begin(), TS.HeldLocks.end(), Lock) !=
-         TS.HeldLocks.end();
+bool Runtime::holdsLock(const void *Lock, bool Shared) {
+  return currentThread().holds(Lock, Shared);
 }
 
 //===----------------------------------------------------------------------===//
@@ -274,10 +279,10 @@ void Runtime::reportLockStall(const void *Lock, const AccessSite *Site) {
   }
   if (Holder.Tid == 0) {
     // The holder acquired before the watchdog was armed (or through an
-    // unguarded path): attribute via the per-thread lock logs.
+    // unguarded path): attribute via the per-thread lock logs' exclusive
+    // holds.
     Registry.forEachState([&](ThreadState &S) {
-      if (std::find(S.HeldLocks.begin(), S.HeldLocks.end(), Lock) !=
-          S.HeldLocks.end())
+      if (S.holds(Lock, /*Shared=*/false))
         Holder.Tid = S.Tid;
     });
   }
@@ -319,125 +324,34 @@ void Runtime::quarantineAddr(const void *Addr) {
 }
 
 bool Runtime::checkLockHeld(const void *Lock, const void *Addr,
-                            const AccessSite *Site) {
+                            const AccessSite *Site, bool SharedOk) {
   ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]] {
-    uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkLockHeldImpl(TS, Lock, Addr, Site);
-    TS.Prof->commit(Site, obs::CheckKind::LockCheck, 0, T0);
-    return Ok;
-  }
-  return checkLockHeldImpl(TS, Lock, Addr, Site);
-}
-
-bool Runtime::checkLockHeldImpl(ThreadState &TS, const void *Lock,
-                                const void *Addr, const AccessSite *Site) {
-  TS.Counters.bump(Counter::LockChecks);
-  if (holdsLock(Lock))
-    return true;
-  if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
-      isAddrQuarantined(Addr))
-    return true;
-  ConflictReport Report;
-  Report.Kind = ReportKind::LockViolation;
-  Report.Address = reinterpret_cast<uintptr_t>(Addr);
-  Report.WhoTid = TS.Tid;
-  Report.WhoSite = Site;
-  if (guard::onViolation(Config.Guard, Report, Sink) ==
-      guard::Verdict::Quarantine)
-    quarantineAddr(Addr);
-  return false;
-}
-
-void Runtime::onSharedLockAcquire(const void *Lock) {
-  currentThread().HeldSharedLocks.push_back(Lock);
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::SharedLockAcquire, Lock, 0);
-}
-
-void Runtime::onSharedLockAcquireProfiled(const void *Lock,
-                                          const AccessSite *Site,
-                                          uint64_t WaitCycles,
-                                          bool Contended) {
-  ThreadState &TS = currentThread();
-  TS.HeldSharedLocks.push_back(Lock);
-  if (TS.Prof) {
-    TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
-    TS.Counters.bump(Counter::LockAcquires);
-    TS.Counters.bump(Counter::LockContended, Contended);
-    TS.Counters.bump(Counter::LockWaitUnits, WaitCycles);
-  }
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::SharedLockAcquire, Lock, 0);
-}
-
-void Runtime::onSharedLockRelease(const void *Lock) {
-  ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]]
-    TS.Counters.bump(Counter::LockHoldUnits, TS.Prof->lockReleased(Lock));
-  auto It = std::find(TS.HeldSharedLocks.rbegin(), TS.HeldSharedLocks.rend(),
-                      Lock);
-  assert(It != TS.HeldSharedLocks.rend() &&
-         "releasing a shared lock that is not held");
-  TS.HeldSharedLocks.erase(std::next(It).base());
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::SharedLockRelease, Lock, 0);
-}
-
-bool Runtime::holdsLockShared(const void *Lock) {
-  ThreadState &TS = currentThread();
-  return std::find(TS.HeldSharedLocks.begin(), TS.HeldSharedLocks.end(),
-                   Lock) != TS.HeldSharedLocks.end();
-}
-
-bool Runtime::checkRwLockHeldForRead(const void *Lock, const void *Addr,
-                                     const AccessSite *Site) {
-  ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]] {
-    uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkRwLockHeldForReadImpl(TS, Lock, Addr, Site);
-    TS.Prof->commit(Site, obs::CheckKind::LockCheck, 0, T0);
-    return Ok;
-  }
-  return checkRwLockHeldForReadImpl(TS, Lock, Addr, Site);
-}
-
-bool Runtime::checkRwLockHeldForReadImpl(ThreadState &TS, const void *Lock,
-                                         const void *Addr,
-                                         const AccessSite *Site) {
-  TS.Counters.bump(Counter::LockChecks);
-  if (holdsLock(Lock) || holdsLockShared(Lock))
-    return true;
-  if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
-      isAddrQuarantined(Addr))
-    return true;
-  ConflictReport Report;
-  Report.Kind = ReportKind::LockViolation;
-  Report.Address = reinterpret_cast<uintptr_t>(Addr);
-  Report.WhoTid = TS.Tid;
-  Report.WhoSite = Site;
-  if (guard::onViolation(Config.Guard, Report, Sink) ==
-      guard::Verdict::Quarantine)
-    quarantineAddr(Addr);
-  return false;
-}
-
-bool Runtime::checkRwLockHeldForWrite(const void *Lock, const void *Addr,
-                                      const AccessSite *Site) {
-  // A shared hold does not license writes.
-  return checkLockHeld(Lock, Addr, Site);
+  return profiled(TS, Site, obs::CheckKind::LockCheck, 0, [&] {
+    TS.Counters.bump(Counter::LockChecks);
+    if (TS.holds(Lock, /*Shared=*/false) ||
+        (SharedOk && TS.holds(Lock, /*Shared=*/true)))
+      return true;
+    if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
+        isAddrQuarantined(Addr))
+      return true;
+    ConflictReport Report;
+    Report.Kind = ReportKind::LockViolation;
+    Report.Address = reinterpret_cast<uintptr_t>(Addr);
+    Report.WhoTid = TS.Tid;
+    Report.WhoSite = Site;
+    if (guard::onViolation(Config.Guard, Report, Sink) ==
+        guard::Verdict::Quarantine)
+      quarantineAddr(Addr);
+    return false;
+  });
 }
 
 void *Runtime::scast(void **Slot, size_t ObjSize, const AccessSite *Site) {
-  ThreadState &TS = currentThread();
   void *Obj = rcLoad(Slot);
   // Null-out the source so no access path with the old sharing mode
   // remains (Figure 7, line 2). The store goes through the RC barrier,
   // so profiled runs attribute it like any other counted store.
-  if (TS.Prof) [[unlikely]]
-    rcStoreProfiled(Slot, nullptr, Site, TS);
-  else
-    Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot), 0, TS);
+  rcStore(Slot, nullptr, Site);
   if (!Obj)
     return nullptr;
   checkCast(Obj, ObjSize, Site);
@@ -446,13 +360,8 @@ void *Runtime::scast(void **Slot, size_t ObjSize, const AccessSite *Site) {
 
 bool Runtime::checkCast(void *Obj, size_t ObjSize, const AccessSite *Site) {
   ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]] {
-    uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkCastImpl(TS, Obj, ObjSize, Site);
-    TS.Prof->commit(Site, obs::CheckKind::SharingCast, 0, T0);
-    return Ok;
-  }
-  return checkCastImpl(TS, Obj, ObjSize, Site);
+  return profiled(TS, Site, obs::CheckKind::SharingCast, 0,
+                  [&] { return checkCastImpl(TS, Obj, ObjSize, Site); });
 }
 
 bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
@@ -479,32 +388,27 @@ bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
   }
   if (Config.Obs) [[unlikely]]
     publishEvent(obs::EventKind::SharingCast, Obj, Count);
-  if (Count > 0 && Config.Rc != RcMode::None) {
+  const bool Ok = Count <= 0 || Config.Rc == RcMode::None;
+  if (!Ok) {
     ConflictReport Report;
     Report.Kind = ReportKind::CastError;
     Report.Address = reinterpret_cast<uintptr_t>(Obj);
     Report.WhoTid = TS.Tid;
     Report.WhoSite = Site;
-    if (guard::onViolation(Config.Guard, Report, Sink) ==
-        guard::Verdict::Quarantine) {
-      // Demote: treat the object as racy-equivalent by forgetting its
-      // access history, exactly as a successful cast would.
-      size_t Size = ObjSize;
-      if (Size == 0 && TheHeap->isSharcObject(Obj))
-        Size = TheHeap->allocationSize(Obj);
-      if (Size != 0)
-        Shadow->clearRange(Obj, Size);
-    }
-    return false;
+    // Quarantine demotes the object to racy-equivalent by forgetting its
+    // access history, exactly as a successful cast does.
+    if (guard::onViolation(Config.Guard, Report, Sink) !=
+        guard::Verdict::Quarantine)
+      return false;
   }
-  // The cast succeeded: clear the object's reader/writer history ("past
-  // accesses by other threads no longer constitute unintended sharing").
+  // Clear the object's reader/writer history ("past accesses by other
+  // threads no longer constitute unintended sharing").
   size_t Size = ObjSize;
   if (Size == 0 && TheHeap->isSharcObject(Obj))
     Size = TheHeap->allocationSize(Obj);
   if (Size != 0)
     Shadow->clearRange(Obj, Size);
-  return true;
+  return Ok;
 }
 
 void *Runtime::allocate(size_t Size) { return TheHeap->allocate(Size); }

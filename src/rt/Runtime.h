@@ -94,25 +94,28 @@ public:
   bool checkRead(const void *Addr, size_t Size, const AccessSite *Site) {
     ThreadState &T = currentThread();
     if (Config.Obs) [[unlikely]]
-      return observedCheckRead(T, Addr, Size, Site);
+      return observedCheck</*IsWrite=*/false>(T, Addr, Size, Site);
     return Shadow->checkRead(Addr, Size, T, Site);
   }
   bool checkWrite(const void *Addr, size_t Size, const AccessSite *Site) {
     ThreadState &T = currentThread();
     if (Config.Obs) [[unlikely]]
-      return observedCheckWrite(T, Addr, Size, Site);
+      return observedCheck</*IsWrite=*/true>(T, Addr, Size, Site);
     return Shadow->checkWrite(Addr, Size, T, Site);
   }
 
   //===--------------------------------------------------------------------===
-  // Locked-mode checks
+  // Locked-mode checks. A hold is exclusive, or with \p Shared a reader
+  // hold: the rwlocked(L) mode of the Section 7 "more support for locks"
+  // extension reads under either and writes under an exclusive hold.
   //===--------------------------------------------------------------------===
 
   /// Records that the current thread acquired the lock at \p Lock.
-  void onLockAcquire(const void *Lock);
+  void onLockAcquire(const void *Lock, bool Shared = false);
 
-  /// Records that the current thread released the lock at \p Lock.
-  void onLockRelease(const void *Lock);
+  /// Records that the current thread released its newest hold of the
+  /// lock at \p Lock in that mode.
+  void onLockRelease(const void *Lock, bool Shared = false);
 
   /// True when per-site cost profiling is on (sharc::Mutex switches to
   /// its timed acquire path). Profiling requires an obs sink to drain
@@ -129,12 +132,17 @@ public:
   /// acquirer (null falls back to the lock's declaration site, if the
   /// caller tracked one).
   void onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
-                             uint64_t WaitCycles, bool Contended);
-  void onSharedLockAcquireProfiled(const void *Lock, const AccessSite *Site,
-                                   uint64_t WaitCycles, bool Contended);
+                             uint64_t WaitCycles, bool Contended,
+                             bool Shared = false);
 
-  /// \returns true if the current thread holds \p Lock.
-  bool holdsLock(const void *Lock);
+  /// \returns true if the current thread holds \p Lock in that mode.
+  bool holdsLock(const void *Lock, bool Shared = false);
+
+  /// Checks that \p Lock is held for an access to \p Addr, filing a
+  /// LockViolation report if not. An exclusive hold passes; a shared hold
+  /// passes only when \p SharedOk (a read of an rwlocked cell).
+  bool checkLockHeld(const void *Lock, const void *Addr,
+                     const AccessSite *Site, bool SharedOk = false);
 
   //===--------------------------------------------------------------------===
   // Stall watchdog (sharc-guard, DESIGN.md §12)
@@ -158,28 +166,6 @@ public:
   /// Same, for a sharing-cast refcount drain that never reached zero.
   void reportCastStall(const void *Obj, const AccessSite *Site,
                        int64_t RemainingCount);
-
-  /// Checks that \p Lock is held for an access to \p Addr, filing a
-  /// LockViolation report if not.
-  bool checkLockHeld(const void *Lock, const void *Addr,
-                     const AccessSite *Site);
-
-  //===--------------------------------------------------------------------===
-  // Reader-writer locked mode (the Section 7 "more support for locks"
-  // extension): rwlocked(L) cells are readable under a shared or
-  // exclusive hold of L and writable only under an exclusive hold.
-  //===--------------------------------------------------------------------===
-
-  void onSharedLockAcquire(const void *Lock);
-  void onSharedLockRelease(const void *Lock);
-  bool holdsLockShared(const void *Lock);
-
-  /// Read intent on an rwlocked cell: shared or exclusive hold suffices.
-  bool checkRwLockHeldForRead(const void *Lock, const void *Addr,
-                              const AccessSite *Site);
-  /// Write intent on an rwlocked cell: an exclusive hold is required.
-  bool checkRwLockHeldForWrite(const void *Lock, const void *Addr,
-                               const AccessSite *Site);
 
   //===--------------------------------------------------------------------===
   // Reference counting and sharing casts
@@ -286,17 +272,13 @@ private:
   void publishEvent(obs::EventKind K, const void *Addr, int64_t Value);
 
   /// Cold observed paths: profiling (when ThreadState::Prof is live)
-  /// plus event publication, in program order.
-  bool observedCheckRead(ThreadState &T, const void *Addr, size_t Size,
-                         const AccessSite *Site);
-  bool observedCheckWrite(ThreadState &T, const void *Addr, size_t Size,
-                          const AccessSite *Site);
+  /// plus event publication, in program order. observedCheck is
+  /// instantiated for both values of IsWrite in Runtime.cpp.
+  template <bool IsWrite>
+  bool observedCheck(ThreadState &T, const void *Addr, size_t Size,
+                     const AccessSite *Site);
   void rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
                        ThreadState &T);
-  bool checkLockHeldImpl(ThreadState &TS, const void *Lock, const void *Addr,
-                         const AccessSite *Site);
-  bool checkRwLockHeldForReadImpl(ThreadState &TS, const void *Lock,
-                                  const void *Addr, const AccessSite *Site);
   bool checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
                      const AccessSite *Site);
 

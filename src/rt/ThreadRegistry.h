@@ -22,6 +22,7 @@
 #include "rt/RcLog.h"
 #include "rt/Stats.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -122,6 +123,15 @@ private:
   uintptr_t NextGranule = 0;
 };
 
+/// One entry of a thread's lock log: a lock and the mode it is held in.
+struct LockHold {
+  const void *Lock;
+  /// A reader hold of a SharedMutex; false for an exclusive hold.
+  bool Shared;
+
+  bool operator==(const LockHold &) const = default;
+};
+
 /// All per-thread runtime state. Allocated when a thread registers and
 /// retained (in a retired list) after it exits until the next reference
 /// count collection has drained its logs.
@@ -155,13 +165,17 @@ struct ThreadState {
   /// the collector spins until no thread is mid-barrier in the old epoch.
   std::atomic<uint32_t> InBarrier{0};
 
-  /// Addresses of locks this thread currently holds (Section 4.2.2). Lock
-  /// nesting depth is small, so membership is a linear scan.
-  std::vector<const void *> HeldLocks;
+  /// The locks this thread holds, oldest first: the lock log of Section
+  /// 4.2.2, with reader holds of the rwlocked extension of Section 7
+  /// ("more support for locks") marked Shared. Lock nesting depth is
+  /// small, so membership is a linear scan.
+  std::vector<LockHold> HeldLocks;
 
-  /// Locks held in shared (reader) mode — the rwlocked extension of the
-  /// paper's Section 7 ("more support for locks").
-  std::vector<const void *> HeldSharedLocks;
+  /// True if HeldLocks has a hold of \p Lock in the mode \p Shared.
+  bool holds(const void *Lock, bool Shared) const {
+    return std::ranges::find(HeldLocks, LockHold{Lock, Shared}) !=
+           HeldLocks.end();
+  }
 
   /// Per-site cost profile (sharc-prof). Allocated at registration when
   /// RuntimeConfig::Profile is set, null otherwise — the disabled check

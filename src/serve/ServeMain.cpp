@@ -123,23 +123,6 @@ bool parseU64Arg(const char *Flag, const char *Text, uint64_t &Out) {
   return parseFlagU64("sharc-serve", Flag, Text, Out);
 }
 
-/// "--flag VALUE" or "--flag=VALUE" (same contract as sharcc).
-bool matchValueFlag(const char *Flag, int Argc, char **Argv, int &I,
-                    const char *&Value) {
-  const char *Arg = Argv[I];
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(Arg, Flag, Len) != 0)
-    return false;
-  if (Arg[Len] == '=') {
-    Value = Arg + Len + 1;
-    return true;
-  }
-  if (Arg[Len] != '\0')
-    return false;
-  Value = I + 1 < Argc ? Argv[++I] : nullptr;
-  return true;
-}
-
 bool needValue(const char *Flag, const char *Value) {
   if (Value)
     return true;

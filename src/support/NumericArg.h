@@ -1,13 +1,14 @@
-//===-- support/NumericArg.h - Strict unsigned argument parsing -*- C++ -*-===//
+//===-- support/NumericArg.h - Strict flag and number parsing --*- C++ -*-===//
 //
 // Part of the SharC reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one parser for unsigned numeric flags and environment knobs, shared
-/// by every tool and bench harness. Header-only, so binaries that do not
-/// link sharc_support (sharc-serve) can use it too.
+/// The one parser for unsigned numeric flags and environment knobs, and
+/// the one matcher for value-taking flags, shared by every tool and bench
+/// harness. Header-only, so binaries that do not link sharc_support
+/// (sharc-serve) can use it too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +46,27 @@ inline bool parseFlagU64(const char *Tool, const char *Flag, const char *Text,
   std::fprintf(stderr, "%s: %s expects an unsigned integer, got '%s'\n", Tool,
                Flag, Text);
   return false;
+}
+
+/// Matches a value-taking flag in either spelling, "--flag VALUE" or
+/// "--flag=VALUE". \returns true when Argv[I] is \p Flag; \p Value then
+/// points at the flag's argument (empty for "--flag="), or is null when
+/// the argument is missing (the caller reports usage). Advances \p I past
+/// a separate value argument.
+inline bool matchValueFlag(const char *Flag, int Argc, char **Argv, int &I,
+                           const char *&Value) {
+  const char *Arg = Argv[I];
+  size_t Len = std::strlen(Flag);
+  if (std::strncmp(Arg, Flag, Len) != 0)
+    return false;
+  if (Arg[Len] == '=') {
+    Value = Arg + Len + 1;
+    return true;
+  }
+  if (Arg[Len] != '\0')
+    return false; // a longer flag sharing this prefix
+  Value = I + 1 < Argc ? Argv[++I] : nullptr;
+  return true;
 }
 
 } // namespace sharc

@@ -630,7 +630,7 @@ TEST(ShadowPropertyTest, OnlyRetainedReportsScanTheLog) {
   Writer.join();
   Reader.join();
   RT.getReports().setObs(nullptr);
-  const size_t Cap = RT.getConfig().MaxReports;
+  const size_t Cap = MaxRuntimeReports;
   auto Reports = RT.getReports().getReports();
   ASSERT_EQ(Reports.size(), Cap);
   EXPECT_EQ(LogRuns, NumGranules + 1);

@@ -319,6 +319,29 @@ TEST_F(RtProfileTest, LockContentionIsAttributedToAcquirerSite) {
   EXPECT_EQ(HoldHistSum, Acquires);
 }
 
+TEST_F(RtProfileTest, RwLockedChecksAreAttributedExactly) {
+  // A profiled rwlocked read under a shared hold passes; a write under
+  // the same hold files one violation. Both are timed lock checks.
+  initProfiled();
+  rt::Runtime &RT = rt::Runtime::get();
+  SharedMutex RW;
+  RwLocked<int> Value(RW, 1);
+  RW.lock_shared(SHARC_SITE("rw(shared)"));
+  EXPECT_EQ(Value.read(SHARC_SITE("value")), 1);
+  Value.write(2, SHARC_SITE("value = 2"));
+  RW.unlock_shared();
+
+  rt::StatsSnapshot S = RT.getStats();
+  rt::Runtime::shutdown();
+  Wrapper->flush();
+
+  EXPECT_EQ(S.LockChecks, 2u);
+  EXPECT_EQ(S.LockViolations, 1u);
+  expectExactAttribution(Downstream.Sites, S);
+  ASSERT_EQ(Downstream.Locks.size(), 1u);
+  EXPECT_EQ(Downstream.Locks[0].Acquires, 1u);
+}
+
 TEST_F(RtProfileTest, WatchdogArmedAcquiresAreStillProfiled) {
   // Profiling and the stall watchdog armed together: every exclusive and
   // shared acquire is timed and profiled, and a stall is still reported

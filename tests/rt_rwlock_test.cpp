@@ -7,8 +7,8 @@
 /// \file
 /// Tests for the rwlocked sharing mode (the Section 7 "more support for
 /// locks" extension): reads require a shared or exclusive hold, writes
-/// require an exclusive hold, and the shared/exclusive logs are
-/// per-thread like the paper's lock log.
+/// require an exclusive hold, and shared holds live in the per-thread
+/// lock log of Section 4.2.2, marked by mode.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,15 +34,76 @@ TEST(RwLockLogTest, SharedAndExclusiveHoldsTrackedSeparately) {
   Runtime &RT = Runtime::get();
   SharedMutex M;
   EXPECT_FALSE(RT.holdsLock(&M));
-  EXPECT_FALSE(RT.holdsLockShared(&M));
+  EXPECT_FALSE(RT.holdsLock(&M, true));
   M.lock_shared();
   EXPECT_FALSE(RT.holdsLock(&M));
-  EXPECT_TRUE(RT.holdsLockShared(&M));
+  EXPECT_TRUE(RT.holdsLock(&M, true));
   M.unlock_shared();
   M.lock();
   EXPECT_TRUE(RT.holdsLock(&M));
-  EXPECT_FALSE(RT.holdsLockShared(&M));
+  EXPECT_FALSE(RT.holdsLock(&M, true));
   M.unlock();
+}
+
+TEST(RwLockLogTest, MixedHoldsReleasedOutOfOrder) {
+  // One thread's log holds one lock exclusively and another shared, and
+  // they are released in acquisition order rather than nested. After
+  // every step each mode's hold query and both lock-held verdicts (with
+  // and without a shared hold being enough) match the holds left.
+  RuntimeGuard Guard;
+  Runtime &RT = Runtime::get();
+  SharedMutex M1, M2;
+  int Data = 0;
+  uint64_t Failed = 0;
+  auto Expect = [&](const void *M, bool Exclusive, bool Shared) {
+    EXPECT_EQ(RT.holdsLock(M), Exclusive);
+    EXPECT_EQ(RT.holdsLock(M, true), Shared);
+    EXPECT_EQ(RT.checkLockHeld(M, &Data, nullptr), Exclusive);
+    EXPECT_EQ(RT.checkLockHeld(M, &Data, nullptr, /*SharedOk=*/true),
+              Exclusive || Shared);
+    Failed += !Exclusive + !(Exclusive || Shared);
+  };
+  {
+    SCOPED_TRACE("M1 exclusive, then M2 shared");
+    M1.lock();
+    M2.lock_shared();
+    Expect(&M1, true, false);
+    Expect(&M2, false, true);
+  }
+  {
+    SCOPED_TRACE("M1 released first");
+    M1.unlock();
+    Expect(&M1, false, false);
+    Expect(&M2, false, true);
+  }
+  {
+    SCOPED_TRACE("M1 shared on top of M2 shared, M2 released first");
+    M1.lock_shared();
+    M2.unlock_shared();
+    Expect(&M1, false, true);
+    Expect(&M2, false, false);
+  }
+  {
+    SCOPED_TRACE("all released");
+    M1.unlock_shared();
+    Expect(&M1, false, false);
+    Expect(&M2, false, false);
+  }
+  {
+    // Release drops the newest hold of the same lock and mode, so one
+    // address logged in both modes (through the runtime's own entry
+    // points: a real SharedMutex cannot be held both ways by one thread)
+    // keeps its other hold.
+    SCOPED_TRACE("one address held in both modes");
+    RT.onLockAcquire(&Data);
+    RT.onLockAcquire(&Data, /*Shared=*/true);
+    RT.onLockRelease(&Data);
+    Expect(&Data, false, true);
+    RT.onLockRelease(&Data, /*Shared=*/true);
+    Expect(&Data, false, false);
+  }
+  EXPECT_EQ(RT.getStats().LockViolations, Failed);
+  EXPECT_EQ(RT.getStats().LockChecks, 2 * 10u);
 }
 
 TEST(RwLockedTest, ReadUnderSharedHoldIsClean) {
@@ -155,7 +216,7 @@ TEST(RwLockedTest, SharedHoldsArePerThread) {
   SharedMutex M;
   M.lock_shared();
   bool OtherHolds = true;
-  Thread T([&] { OtherHolds = RT.holdsLockShared(&M); });
+  Thread T([&] { OtherHolds = RT.holdsLock(&M, true); });
   T.join();
   EXPECT_FALSE(OtherHolds);
   M.unlock_shared();
@@ -167,10 +228,10 @@ TEST(RwLockedTest, NestedSharedHoldsUnwindCorrectly) {
   SharedMutex M1, M2;
   M1.lock_shared();
   M2.lock_shared();
-  EXPECT_TRUE(RT.holdsLockShared(&M1));
-  EXPECT_TRUE(RT.holdsLockShared(&M2));
+  EXPECT_TRUE(RT.holdsLock(&M1, true));
+  EXPECT_TRUE(RT.holdsLock(&M2, true));
   M1.unlock_shared();
-  EXPECT_FALSE(RT.holdsLockShared(&M1));
-  EXPECT_TRUE(RT.holdsLockShared(&M2));
+  EXPECT_FALSE(RT.holdsLock(&M1, true));
+  EXPECT_TRUE(RT.holdsLock(&M2, true));
   M2.unlock_shared();
 }

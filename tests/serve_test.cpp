@@ -673,11 +673,18 @@ TEST(ServeStormTest, WorkerCrashSurvivorsDrainTheRing) {
   // worker-crash retires worker 0 at a request boundary; the survivors
   // own the ring from then on and must drain every admitted connection
   // — a crashed worker never strands work it did not own.
+  //
+  // Nothing is shed, by construction: the ring holds the whole 1,200-
+  // request schedule, and neither an inflight cap nor a deadline is set.
+  // With the default 1,024 slots, a few milliseconds in which no worker
+  // ran let the ring fill, and a request shed more than RetryMax times
+  // was dropped.
   LoadConfig LC = smallLoad();
   LC.RatePerSec = 100000;
   LC.Resilient = true;
   ServeParams SP = stormParams();
   SP.WorkerCrashAfter = 20;
+  SP.RingCapacity = 4096;
   StormRun R = runStorm<UncheckedPolicy>(LC, SP);
   EXPECT_EQ(R.Stats.FaultsInjected, 1u);
   EXPECT_EQ(R.Stats.Completed, R.Load.Offered);
