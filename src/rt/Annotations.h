@@ -124,8 +124,7 @@ void acquireArmed(rt::Runtime &RT, MutexT &Impl, const void *Lock,
   }
   if (WatchdogMillis != 0 && !Shared)
     RT.noteLockHolder(Lock, Site);
-  // Without profiling the thread has no profile, so this logs the hold
-  // and counts nothing.
+  // A thread that does not profile only logs the hold.
   RT.onLockAcquireProfiled(Lock, Site, Contended ? rt::readTsc() - Start : 0,
                            Contended, Shared);
 }

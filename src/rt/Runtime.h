@@ -130,7 +130,8 @@ public:
   /// onLockAcquire plus contention accounting: \p WaitCycles of TSC
   /// time was spent before the lock was obtained, \p Site names the
   /// acquirer (null falls back to the lock's declaration site, if the
-  /// caller tracked one).
+  /// caller tracked one). On a thread that does not profile, only
+  /// onLockAcquire.
   void onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
                              uint64_t WaitCycles, bool Contended,
                              bool Shared = false);

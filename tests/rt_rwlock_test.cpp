@@ -46,10 +46,11 @@ TEST(RwLockLogTest, SharedAndExclusiveHoldsTrackedSeparately) {
 }
 
 TEST(RwLockLogTest, MixedHoldsReleasedOutOfOrder) {
-  // One thread's log holds one lock exclusively and another shared, and
-  // they are released in acquisition order rather than nested. After
-  // every step each mode's hold query and both lock-held verdicts (with
-  // and without a shared hold being enough) match the holds left.
+  // One thread's log holds one lock exclusively and another shared, in
+  // both pairings, and releases the older hold first. After every step
+  // each mode's hold query and both lock-held verdicts (with and without
+  // a shared hold being enough) match the holds left. M1 is always taken
+  // before M2.
   RuntimeGuard Guard;
   Runtime &RT = Runtime::get();
   SharedMutex M1, M2;
@@ -64,29 +65,27 @@ TEST(RwLockLogTest, MixedHoldsReleasedOutOfOrder) {
     Failed += !Exclusive + !(Exclusive || Shared);
   };
   {
-    SCOPED_TRACE("M1 exclusive, then M2 shared");
+    SCOPED_TRACE("M1 exclusive, M2 shared");
     M1.lock();
     M2.lock_shared();
     Expect(&M1, true, false);
     Expect(&M2, false, true);
-  }
-  {
-    SCOPED_TRACE("M1 released first");
     M1.unlock();
     Expect(&M1, false, false);
     Expect(&M2, false, true);
-  }
-  {
-    SCOPED_TRACE("M1 shared on top of M2 shared, M2 released first");
-    M1.lock_shared();
     M2.unlock_shared();
-    Expect(&M1, false, true);
     Expect(&M2, false, false);
   }
   {
-    SCOPED_TRACE("all released");
+    SCOPED_TRACE("M1 shared, M2 exclusive");
+    M1.lock_shared();
+    M2.lock();
+    Expect(&M1, false, true);
+    Expect(&M2, true, false);
     M1.unlock_shared();
     Expect(&M1, false, false);
+    Expect(&M2, true, false);
+    M2.unlock();
     Expect(&M2, false, false);
   }
   {
@@ -103,7 +102,7 @@ TEST(RwLockLogTest, MixedHoldsReleasedOutOfOrder) {
     Expect(&Data, false, false);
   }
   EXPECT_EQ(RT.getStats().LockViolations, Failed);
-  EXPECT_EQ(RT.getStats().LockChecks, 2 * 10u);
+  EXPECT_EQ(RT.getStats().LockChecks, 2 * 12u);
 }
 
 TEST(RwLockedTest, ReadUnderSharedHoldIsClean) {
