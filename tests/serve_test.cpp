@@ -676,9 +676,8 @@ TEST(ServeStormTest, WorkerCrashSurvivorsDrainTheRing) {
   //
   // Nothing is shed, by construction: the ring holds the whole 1,200-
   // request schedule, and neither an inflight cap nor a deadline is set.
-  // With the default 1,024 slots, a few milliseconds in which no worker
-  // ran let the ring fill, and a request shed more than RetryMax times
-  // was dropped.
+  // A smaller ring fills whenever no worker runs for a few milliseconds,
+  // and a request shed more than RetryMax times is dropped.
   LoadConfig LC = smallLoad();
   LC.RatePerSec = 100000;
   LC.Resilient = true;
