@@ -609,9 +609,16 @@ TEST(ServeStormTest, SharcPolicyOverloadIsViolationFree) {
   // connection) and retries re-submit fresh payload bytes, so the
   // annotated build must survive the same overload with zero sharing
   // violations — the "casts stay checked under shedding" contract.
+  //
+  // The overload holds by construction, on any host and under the
+  // sanitizers' slowdown: each worker sleeps 10 ms after every request,
+  // so at most three requests finish per 10 ms while the 1,200 arrive
+  // within a few, and admission sheds once eight are in flight.
   LoadConfig LC = stormLoad();
   ServeParams SP = stormParams();
   SP.MaxInflight = 8;
+  SP.WorkerStallEvery = 1;
+  SP.WorkerStallNanos = 10000000;
   RuntimeGuard Guard(serveConfig());
   StormRun R = runStorm<SharcPolicy>(LC, SP);
   EXPECT_GT(R.Stats.Shed, 0u);
