@@ -70,8 +70,8 @@ size_t ThreadProfile::findLock(const void *Lock, const AccessSite *Site) {
   return LockStats.size() - 1;
 }
 
-void ThreadProfile::lockAcquired(const void *Lock, const AccessSite *Site,
-                                 uint64_t WaitCycles, bool Contended) {
+uint32_t ThreadProfile::lockAcquired(const void *Lock, const AccessSite *Site,
+                                     uint64_t WaitCycles, bool Contended) {
   size_t Idx = findLock(Lock, Site);
   LockSlot &L = LockStats[Idx];
   ++L.Acquires;
@@ -79,23 +79,15 @@ void ThreadProfile::lockAcquired(const void *Lock, const AccessSite *Site,
     ++L.Contended;
   L.WaitCycles += WaitCycles;
   ++L.WaitHist[obs::histBucket(WaitCycles)];
-  Holds.push_back(Hold{Lock, readTsc(), Idx});
+  return static_cast<uint32_t>(Idx);
 }
 
-uint64_t ThreadProfile::lockReleased(const void *Lock) {
-  // Innermost hold of this lock (locks do not recurse, but shared and
-  // exclusive holds of distinct locks interleave freely).
-  for (auto It = Holds.rbegin(); It != Holds.rend(); ++It) {
-    if (It->Lock != Lock)
-      continue;
-    uint64_t HoldCycles = readTsc() - It->Start;
-    LockSlot &L = LockStats[It->Idx];
-    L.HoldCycles += HoldCycles;
-    ++L.HoldHist[obs::histBucket(HoldCycles)];
-    Holds.erase(std::next(It).base());
-    return HoldCycles;
-  }
-  return 0;
+uint64_t ThreadProfile::lockReleased(uint32_t Slot, uint64_t Start) {
+  uint64_t HoldCycles = readTsc() - Start;
+  LockSlot &L = LockStats[Slot];
+  L.HoldCycles += HoldCycles;
+  ++L.HoldHist[obs::histBucket(HoldCycles)];
+  return HoldCycles;
 }
 
 void ThreadProfile::drainTo(obs::Sink &Sink, uint32_t Tid) {
@@ -142,7 +134,6 @@ void ThreadProfile::drainTo(obs::Sink &Sink, uint32_t Tid) {
     Sink.lockProfile(R);
   }
   LockStats.clear();
-  Holds.clear();
 
   obs::SelfOverheadRecord O;
   O.Tid = Tid;

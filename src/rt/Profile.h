@@ -91,12 +91,15 @@ public:
     }
   }
 
-  /// Lock bookkeeping, called from Runtime::onLock*Profiled.
-  void lockAcquired(const void *Lock, const AccessSite *Site,
-                    uint64_t WaitCycles, bool Contended);
-  /// \returns the hold duration in cycles (0 when no matching hold was
-  /// tracked) so the caller can feed live contention aggregates.
-  uint64_t lockReleased(const void *Lock);
+  /// Lock bookkeeping, called from Runtime::onLockAcquireProfiled.
+  /// \returns the (Lock, Site) slot, which the hold's entry in the
+  /// thread's lock log keeps until its release.
+  uint32_t lockAcquired(const void *Lock, const AccessSite *Site,
+                        uint64_t WaitCycles, bool Contended);
+  /// Charges a hold of \p Slot that began at TSC \p Start. \returns the
+  /// hold duration in cycles so the caller can feed live contention
+  /// aggregates.
+  uint64_t lockReleased(uint32_t Slot, uint64_t Start);
 
   /// Emits every populated slot plus one SelfOverhead record to Sink,
   /// then clears the table (drains are idempotent per epoch of data).
@@ -104,8 +107,7 @@ public:
 
   size_t tableBytes() const {
     return Slots.capacity() * sizeof(Slot) +
-           LockStats.capacity() * sizeof(LockSlot) +
-           Holds.capacity() * sizeof(Hold);
+           LockStats.capacity() * sizeof(LockSlot);
   }
 
   uint64_t opCount() const { return Ops; }
@@ -132,12 +134,6 @@ private:
     uint64_t HoldHist[obs::NumHistBuckets] = {};
   };
 
-  struct Hold {
-    const void *Lock = nullptr;
-    uint64_t Start = 0;
-    size_t Idx = 0; // into LockStats
-  };
-
   Slot &findSlot(const AccessSite *Site, obs::CheckKind Kind);
   void grow();
   size_t findLock(const void *Lock, const AccessSite *Site);
@@ -148,7 +144,6 @@ private:
 
   // Locks per thread are few; linear scans beat hashing here.
   std::vector<LockSlot> LockStats;
-  std::vector<Hold> Holds;
 
   uint64_t SampleMask;
   uint64_t Ops = 0;         // profiled operations seen

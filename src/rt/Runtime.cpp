@@ -204,12 +204,16 @@ void Runtime::deregisterCurrentThread() {
   TlsCache.Generation = 0;
 }
 
-void Runtime::onLockAcquire(const void *Lock, bool Shared) {
-  currentThread().HeldLocks.push_back({Lock, Shared});
+void Runtime::logHold(ThreadState &TS, const LockHold &Hold) {
+  TS.HeldLocks.push_back(Hold);
   if (Config.Obs) [[unlikely]]
-    publishEvent(Shared ? obs::EventKind::SharedLockAcquire
-                        : obs::EventKind::LockAcquire,
-                 Lock, 0);
+    publishEvent(Hold.Shared ? obs::EventKind::SharedLockAcquire
+                             : obs::EventKind::LockAcquire,
+                 Hold.Lock, 0);
+}
+
+void Runtime::onLockAcquire(const void *Lock, bool Shared) {
+  logHold(currentThread(), {Lock, Shared});
 }
 
 void Runtime::onLockWait(const void *Lock, const AccessSite *Site) {
@@ -227,27 +231,32 @@ void Runtime::onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
                                     uint64_t WaitCycles, bool Contended,
                                     bool Shared) {
   ThreadState &TS = currentThread();
+  LockHold Hold{Lock, Shared};
   if (TS.Prof) {
-    TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
+    Hold.ProfileSlot = TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
+    Hold.Start = readTsc();
     TS.Counters.bump(Counter::LockAcquires);
     TS.Counters.bump(Counter::LockContended, Contended);
     TS.Counters.bump(Counter::LockWaitUnits, WaitCycles);
   }
-  onLockAcquire(Lock, Shared);
+  logHold(TS, Hold);
 }
 
 void Runtime::onLockRelease(const void *Lock, bool Shared) {
   ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]]
-    TS.Counters.bump(Counter::LockHoldUnits, TS.Prof->lockReleased(Lock));
+  auto It = std::ranges::find_if(TS.HeldLocks.rbegin(), TS.HeldLocks.rend(),
+                                 [&](const LockHold &H) {
+                                   return H.is(Lock, Shared);
+                                 });
+  assert(It != TS.HeldLocks.rend() && "releasing a lock that is not held");
+  if (It->ProfileSlot != LockHold::NoProfileSlot) [[unlikely]]
+    TS.Counters.bump(Counter::LockHoldUnits,
+                     TS.Prof->lockReleased(It->ProfileSlot, It->Start));
   // Only an exclusive acquire notes a holder.
   if (!Shared && Config.Guard.WatchdogMillis != 0) [[unlikely]] {
     std::lock_guard<std::mutex> G(GuardMutex);
     LockHolders.erase(reinterpret_cast<uintptr_t>(Lock));
   }
-  auto It = std::ranges::find(TS.HeldLocks.rbegin(), TS.HeldLocks.rend(),
-                              LockHold{Lock, Shared});
-  assert(It != TS.HeldLocks.rend() && "releasing a lock that is not held");
   TS.HeldLocks.erase(std::next(It).base());
   if (Config.Obs) [[unlikely]]
     publishEvent(Shared ? obs::EventKind::SharedLockRelease
@@ -270,21 +279,16 @@ void Runtime::noteLockHolder(const void *Lock, const AccessSite *Site) {
 }
 
 void Runtime::reportLockStall(const void *Lock, const AccessSite *Site) {
+  // The watchdog is fixed at init, and while it is armed every exclusive
+  // acquire notes its holder. A lock with no noted holder is held shared
+  // or not at all, and the report names none: other threads' lock logs
+  // belong to their owners and are never read here.
   LockHolderInfo Holder;
   {
     std::lock_guard<std::mutex> G(GuardMutex);
     auto It = LockHolders.find(reinterpret_cast<uintptr_t>(Lock));
     if (It != LockHolders.end())
       Holder = It->second;
-  }
-  if (Holder.Tid == 0) {
-    // The holder acquired before the watchdog was armed (or through an
-    // unguarded path): attribute via the per-thread lock logs' exclusive
-    // holds.
-    Registry.forEachState([&](ThreadState &S) {
-      if (S.holds(Lock, /*Shared=*/false))
-        Holder.Tid = S.Tid;
-    });
   }
   // The wait slice feeds the contention tables. A profiled acquire
   // published it when its wait began.

@@ -160,8 +160,9 @@ public:
 
   /// Files a StallTimeout report for a lock wait that exceeded the
   /// watchdog budget: who = the waiter at \p Site, last = the recorded
-  /// holder and its acquisition site. Applies the violation policy
-  /// (under Policy::Abort this does not return).
+  /// exclusive holder and its acquisition site (none when the lock is
+  /// held only shared). Applies the violation policy (under
+  /// Policy::Abort this does not return).
   void reportLockStall(const void *Lock, const AccessSite *Site);
 
   /// Same, for a sharing-cast refcount drain that never reached zero.
@@ -271,6 +272,9 @@ private:
                      unsigned Tid);
   /// Same, for lock transitions and sharing casts.
   void publishEvent(obs::EventKind K, const void *Addr, int64_t Value);
+
+  /// Appends \p Hold to \p TS's lock log and publishes the acquire.
+  void logHold(ThreadState &TS, const LockHold &Hold);
 
   /// Cold observed paths: profiling (when ThreadState::Prof is live)
   /// plus event publication, in program order. observedCheck is

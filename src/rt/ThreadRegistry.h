@@ -125,11 +125,18 @@ private:
 
 /// One entry of a thread's lock log: a lock and the mode it is held in.
 struct LockHold {
+  static constexpr uint32_t NoProfileSlot = ~uint32_t(0);
+
   const void *Lock;
   /// A reader hold of a SharedMutex; false for an exclusive hold.
   bool Shared;
+  /// A hold taken through a profiled acquire: its ThreadProfile lock
+  /// slot and the TSC when it began, so the release can charge the hold
+  /// time. NoProfileSlot on every other hold.
+  uint32_t ProfileSlot = NoProfileSlot;
+  uint64_t Start = 0;
 
-  bool operator==(const LockHold &) const = default;
+  bool is(const void *L, bool S) const { return Lock == L && Shared == S; }
 };
 
 /// All per-thread runtime state. Allocated when a thread registers and
@@ -173,8 +180,8 @@ struct ThreadState {
 
   /// True if HeldLocks has a hold of \p Lock in the mode \p Shared.
   bool holds(const void *Lock, bool Shared) const {
-    return std::ranges::find(HeldLocks, LockHold{Lock, Shared}) !=
-           HeldLocks.end();
+    return std::ranges::any_of(
+        HeldLocks, [&](const LockHold &H) { return H.is(Lock, Shared); });
   }
 
   /// Per-site cost profile (sharc-prof). Allocated at registration when

@@ -138,8 +138,7 @@ Connection<P> *Server<P>::makeConnection(SimRequest &&Req,
   ++Local.Accepted;
   Local.BytesIn += Conn->PayloadSize;
   AcceptedLive.write(AcceptedLive.read() + 1);
-  uint64_t Inflight = InflightLive.read() + 1;
-  InflightLive.write(Inflight);
+  uint64_t Inflight = ++InflightLive;
   if (Inflight > PeakInflightLive.read())
     PeakInflightLive.write(Inflight);
   uint64_t AcceptE = nanosSince(Epoch);
@@ -156,7 +155,7 @@ bool Server<P>::mustShed(const SimRequest &Req, uint64_t NowNs) {
   if (C.DeadlineNanos != 0 && NowNs > Req.ArrivalNs &&
       NowNs - Req.ArrivalNs > C.DeadlineNanos)
     return true;
-  if (C.MaxInflight != 0 && InflightLive.read() >= C.MaxInflight)
+  if (C.MaxInflight != 0 && InflightLive.load() >= C.MaxInflight)
     return true;
   // The full ring is the typed backpressure signal: shed instead of
   // blocking. The acceptor is the ring's only producer, so a below-
@@ -258,7 +257,7 @@ template <typename P> void Server<P>::teardownConnection(Connection<P> *Conn) {
     CS.Open.write(CS.Open.read(SHARC_SITE("connshard->open")) - 1,
                   SHARC_SITE("connshard->open"));
   }
-  InflightLive.write(InflightLive.read() - 1);
+  --InflightLive;
   P::dealloc(Conn);
 }
 

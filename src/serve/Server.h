@@ -44,6 +44,7 @@
 #include "serve/Transport.h"
 #include "workloads/Policy.h"
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -407,8 +408,12 @@ private:
   /// per-thread aggregates after the run).
   typename P::template Racy<uint64_t> AcceptedLive;
   typename P::template Racy<uint64_t> CompletedLive;
-  typename P::template Racy<uint64_t> InflightLive;
   typename P::template Racy<uint64_t> PeakInflightLive;
+  /// racy, but exact: admitted connections not yet torn down. Admission
+  /// compares it with MaxInflight, so the acceptor's increments and the
+  /// workers' decrements are atomic: a lost decrement would leave it
+  /// high for good and shed every later connection.
+  std::atomic<uint64_t> InflightLive{0};
   /// Degraded-mode flag (sharc-storm): set by the acceptor at the ring
   /// high watermark, cleared at the low watermark. Racy on purpose —
   /// workers poll it to shed logger work, and reading a one-update-

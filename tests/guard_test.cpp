@@ -349,6 +349,51 @@ TEST(GuardRuntimeTest, WatchdogReportsLockStall) {
   EXPECT_TRUE(SawStall);
 }
 
+TEST(GuardRuntimeTest, WatchdogStallBehindReadersNamesNoHolder) {
+  // A writer stalled behind shared holds has no exclusive holder to
+  // name. Two readers keep taking and dropping shared holds, changing
+  // their own lock logs, while the writer's report is filed: the report
+  // must not read those logs (TSan checks this).
+  RuntimeConfig Config;
+  Config.Guard.WatchdogMillis = 20;
+  RuntimeGuard G(Config);
+  Runtime &RT = Runtime::get();
+  SharedMutex RW;
+  RW.lock_shared();
+  std::atomic<bool> Stop{false};
+  auto Churn = [&] {
+    while (!Stop.load()) {
+      RW.lock_shared();
+      RW.unlock_shared();
+    }
+  };
+  Thread Reader1(Churn);
+  Thread Reader2(Churn);
+  unsigned WriterTid = 0;
+  Thread Writer([&] {
+    WriterTid = RT.currentThread().Tid;
+    RW.lock(); // stalls past the 20ms watchdog, then blocks normally
+    RW.unlock();
+  });
+  while (RT.getReports().getTotalOfKind(ReportKind::StallTimeout) == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Stop = true;
+  RW.unlock_shared();
+  Writer.join();
+  Reader1.join();
+  Reader2.join();
+
+  bool SawWriter = false;
+  for (const ConflictReport &R : RT.getReports().getReports())
+    if (R.WhoTid == WriterTid) {
+      SawWriter = true;
+      EXPECT_EQ(R.Kind, ReportKind::StallTimeout);
+      EXPECT_EQ(R.Address, reinterpret_cast<uintptr_t>(&RW));
+      EXPECT_EQ(R.LastTid, 0u) << "only shared holds: no holder to name";
+    }
+  EXPECT_TRUE(SawWriter);
+}
+
 TEST(GuardRuntimeTest, LockTimeoutFaultForcesStallReport) {
   RuntimeConfig Config;
   Config.Guard.WatchdogMillis = 10000; // would never fire on its own
