@@ -67,7 +67,8 @@ echo "== sanitizers =="
 # ASan+UBSan and TSan builds of the tests that cover the race detectors,
 # the fuzz oracles, the parser, the checker's instrumentation table, the
 # interpreter (its object table and live-thread list on arrays, structs,
-# recursion and frees) and its schedule explorer (whose race analysis
+# recursion and frees; ASan+UBSan also runs its lock builtins' tests)
+# and its schedule explorer (whose race analysis
 # indexes steps by node number and whose nodes reuse their storage), and
 # the runtime: its concurrent internals (including stats snapshots taken
 # while threads count), reference counting (racing barriers and count
@@ -111,7 +112,8 @@ san_lane "$BUILD/asan" \
   racedet_test fuzz_test minic_parser_test rt_shadow_test rt_internals_test \
   rt_refcount_test rt_runtime_test rt_profile_test rt_rwlock_test \
   stats_endpoint_test checker_test interp_test interp_lang_test \
-  explore_test workloads_test guard_test "serve_test=$SERVE_SHARC_CASES"
+  minic_rwlock_test explore_test workloads_test guard_test \
+  "serve_test=$SERVE_SHARC_CASES"
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test rt_refcount_test rt_shadow_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
@@ -298,7 +300,12 @@ echo "== profiler overhead gate =="
 # if arming the profiler regressed the disabled path by more than 2%.
 # A third, fully-profiled run is archived next to BENCH_table1.json as
 # the measured cost of profiling itself.
-MICRO="$BUILD/bench/bench_runtime_micro"
+# The gates time a Release build, as perfbench does: there the
+# one-granule check is inlined into the benchmark loop, while the
+# default RelWithDebInfo build calls Runtime::checkRead out of line.
+cmake -B "$BUILD/release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BUILD/release" -j "$JOBS" --target bench_runtime_micro
+MICRO="$BUILD/release/bench/bench_runtime_micro"
 GATE_FILTER='BM_ChkReadHit|BM_ChkWriteHit|BM_LockLogCheck|BM_CountedStore'
 # Each gate measurement is the min over --benchmark_repetitions (the
 # harness's JSON reporter coalesces repetitions to their minimum), and

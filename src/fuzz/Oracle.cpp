@@ -15,6 +15,7 @@
 #include "minic/ExprTyper.h"
 #include "minic/Parser.h"
 #include "minic/Printer.h"
+#include "obs/Sink.h"
 #include "obs/Summary.h"
 #include "obs/TraceFile.h"
 #include "obs/TraceTail.h"
@@ -35,7 +36,6 @@
 
 using namespace sharc;
 using namespace sharc::fuzz;
-using interp::TraceEvent;
 
 const char *sharc::fuzz::failureKindName(FailureKind K) {
   switch (K) {
@@ -134,6 +134,13 @@ struct Frontend {
   }
 };
 
+/// True for the nine kinds that order a run's schedule, which come first
+/// in obs::EventKind. Outside profiling the interpreter publishes one
+/// more kind: the Conflict record of each violation.
+bool isScheduleEvent(const obs::Event &Ev) {
+  return Ev.K <= obs::EventKind::CastQuery;
+}
+
 /// Drives the production detectors over \p Trace in one loop: every
 /// event calls both detectors with its trace tid. Cell addresses scale
 /// by 8 so one interpreter cell is one 8-byte detector granule. Spawn
@@ -141,31 +148,31 @@ struct Frontend {
 /// (SpawnEdge), and the child's ThreadStart acquires and at once
 /// releases it, which orders the child after the spawn without leaving
 /// the token in its Eraser lockset. Every tid must be below MaxTids.
-void runDetectors(const std::vector<TraceEvent> &Trace,
+void runDetectors(const std::vector<obs::Event> &Trace,
                   racedet::EraserDetector &Eraser,
                   racedet::HappensBeforeDetector &Hb) {
-  for (const TraceEvent &Ev : Trace) {
+  for (const obs::Event &Ev : Trace) {
     void *Addr =
         reinterpret_cast<void *>(static_cast<uintptr_t>(Ev.Addr << 3));
     switch (Ev.K) {
-    case TraceEvent::Kind::Read:
+    case obs::EventKind::Read:
       Eraser.onRead(Ev.Tid, Addr, 1);
       Hb.onRead(Ev.Tid, Addr, 1);
       break;
-    case TraceEvent::Kind::Write:
+    case obs::EventKind::Write:
       Eraser.onWrite(Ev.Tid, Addr, 1);
       Hb.onWrite(Ev.Tid, Addr, 1);
       break;
-    case TraceEvent::Kind::LockAcquire:
+    case obs::EventKind::LockAcquire:
       Eraser.onLockAcquire(Ev.Tid, Addr);
       Hb.onLockAcquire(Ev.Tid, Addr);
       break;
-    case TraceEvent::Kind::LockRelease:
-    case TraceEvent::Kind::SpawnEdge:
+    case obs::EventKind::LockRelease:
+    case obs::EventKind::SpawnEdge:
       Eraser.onLockRelease(Ev.Tid, Addr);
       Hb.onLockRelease(Ev.Tid, Addr);
       break;
-    case TraceEvent::Kind::ThreadStart:
+    case obs::EventKind::ThreadStart:
       if (Ev.Addr == 0)
         break; // The entry thread has no spawn token.
       Eraser.onLockAcquire(Ev.Tid, Addr);
@@ -173,9 +180,14 @@ void runDetectors(const std::vector<TraceEvent> &Trace,
       Eraser.onLockRelease(Ev.Tid, Addr);
       Hb.onLockRelease(Ev.Tid, Addr);
       break;
-    case TraceEvent::Kind::ThreadExit:
-    case TraceEvent::Kind::PtrStore:
-    case TraceEvent::Kind::CastQuery:
+    case obs::EventKind::ThreadExit:
+    case obs::EventKind::PtrStore:
+    case obs::EventKind::CastQuery:
+    case obs::EventKind::Conflict:
+    case obs::EventKind::SharedLockAcquire:
+    case obs::EventKind::SharedLockRelease:
+    case obs::EventKind::SharingCast:
+    case obs::EventKind::LockWait:
       break; // Invisible to the detectors.
     }
   }
@@ -199,8 +211,9 @@ std::vector<uint64_t> minus(const std::vector<uint64_t> &A,
   return Out;
 }
 
+/// Hashes a run's result and its schedule events.
 void digestRun(Digest &D, const interp::InterpResult &R,
-               const std::vector<TraceEvent> &Trace) {
+               const std::vector<obs::Event> &Trace) {
   D.u64(R.Completed);
   D.u64(R.Deadlocked);
   D.u64(R.OutOfSteps);
@@ -214,8 +227,10 @@ void digestRun(Digest &D, const interp::InterpResult &R,
   D.u64(R.Violations.size());
   for (const interp::Violation &V : R.Violations)
     D.str(V.format("fuzz.mc"));
-  D.u64(Trace.size());
-  for (const TraceEvent &Ev : Trace) {
+  D.u64(std::count_if(Trace.begin(), Trace.end(), isScheduleEvent));
+  for (const obs::Event &Ev : Trace) {
+    if (!isScheduleEvent(Ev))
+      continue;
     D.u64(static_cast<uint64_t>(Ev.K));
     D.u64(Ev.Tid);
     D.u64(Ev.Addr);
@@ -226,7 +241,7 @@ void digestRun(Digest &D, const interp::InterpResult &R,
 /// Replays the trace's pointer-slot stores through one RC engine and
 /// collects the count it reports at each sharing-cast query.
 std::vector<int64_t> replayRc(rt::RcMode Mode,
-                              const std::vector<TraceEvent> &Trace,
+                              const std::vector<obs::Event> &Trace,
                               size_t ArenaSize) {
   rt::RuntimeConfig Config;
   Config.Rc = Mode;
@@ -244,23 +259,23 @@ std::vector<int64_t> replayRc(rt::RcMode Mode,
   };
 
   std::vector<int64_t> Counts;
-  for (const TraceEvent &Ev : Trace) {
-    if (Ev.K == TraceEvent::Kind::PtrStore)
+  for (const obs::Event &Ev : Trace) {
+    if (Ev.K == obs::EventKind::PtrStore)
       Engine.storePtr(&Arena[Ev.Addr], static_cast<uintptr_t>(Ev.Value),
                       stateFor(Ev.Tid));
-    else if (Ev.K == TraceEvent::Kind::CastQuery)
+    else if (Ev.K == obs::EventKind::CastQuery)
       Counts.push_back(Engine.getRefCount(static_cast<uintptr_t>(Ev.Addr)));
   }
   return Counts;
 }
 
 /// Oracle 5: parse back the bytes the TraceWriter collected alongside
-/// run \p R and check them against the legacy trace vector, the
+/// run \p R and check them against the events the run published, the
 /// violation list, and the aggregate stats. Returns an empty string on
 /// agreement, a description of the first disagreement otherwise.
 std::string checkTraceRoundTrip(obs::TraceWriter &Writer,
                                 const interp::InterpResult &R,
-                                const std::vector<TraceEvent> &Trace) {
+                                const std::vector<obs::Event> &Trace) {
   rt::StatsSnapshot Snapshot = interp::toStatsSnapshot(R);
   Writer.stats(Snapshot);
 
@@ -270,37 +285,27 @@ std::string checkTraceRoundTrip(obs::TraceWriter &Writer,
     return "serialised trace does not parse back: " + Error;
 
   std::ostringstream OS;
-  size_t Legacy = 0;
+  if (Data.Events.size() != Trace.size()) {
+    OS << "parsed trace carries " << Data.Events.size()
+       << " events, the run published " << Trace.size();
+    return OS.str();
+  }
   uint64_t Conflicts = 0;
   for (size_t I = 0; I < Data.Events.size(); ++I) {
     const obs::Event &Ev = Data.Events[I];
+    if (Ev != Trace[I]) {
+      OS << "record " << I << " (" << obs::eventKindName(Ev.K) << " tid "
+         << Ev.Tid << " addr " << Ev.Addr
+         << ") differs from the published event";
+      return OS.str();
+    }
     if (Ev.K == obs::EventKind::Conflict) {
       ++Conflicts;
-      continue;
-    }
-    if (Ev.K > obs::LastInterpKind) {
+    } else if (!isScheduleEvent(Ev)) {
       OS << "unexpected " << obs::eventKindName(Ev.K) << " event at record "
          << I;
       return OS.str();
     }
-    if (Legacy == Trace.size()) {
-      OS << "parsed trace has extra " << obs::eventKindName(Ev.K)
-         << " event at record " << I;
-      return OS.str();
-    }
-    const TraceEvent &Want = Trace[Legacy++];
-    if (static_cast<obs::EventKind>(Want.K) != Ev.K || Want.Tid != Ev.Tid ||
-        Want.Addr != Ev.Addr || Want.Value != Ev.Value) {
-      OS << "record " << I << " (" << obs::eventKindName(Ev.K)
-         << " tid " << Ev.Tid << " addr " << Ev.Addr
-         << ") differs from legacy trace event " << (Legacy - 1);
-      return OS.str();
-    }
-  }
-  if (Legacy != Trace.size()) {
-    OS << "parsed trace carries " << Legacy << " schedule events, legacy "
-       << "trace has " << Trace.size();
-    return OS.str();
   }
   if (Conflicts != R.Violations.size()) {
     OS << Conflicts << " conflict records for " << R.Violations.size()
@@ -490,7 +495,6 @@ std::string checkPolicyAgreement(interp::Interp &Interp,
   // with the same output; demoting cells can only suppress re-fires, so
   // its violation multiset is contained in the continue run's.
   interp::InterpOptions QOpts = BaseOpts;
-  QOpts.Trace = nullptr;
   QOpts.Sink = nullptr;
   QOpts.Guard.OnViolation = guard::Policy::Quarantine;
   interp::InterpResult Q = Interp.run(QOpts);
@@ -524,7 +528,6 @@ std::string checkPolicyAgreement(interp::Interp &Interp,
   // (c) A per-kind-capped continue run must not change execution or the
   // total count — the cap governs retention only.
   interp::InterpOptions COpts = BaseOpts;
-  COpts.Trace = nullptr;
   COpts.Sink = nullptr;
   COpts.Guard.MaxReportsPerKind = 1;
   interp::InterpResult C = Interp.run(COpts);
@@ -611,30 +614,30 @@ OracleOutcome sharc::fuzz::runOracles(const std::string &Source,
     if (!Seed)
       Seed = 1;
 
-    std::vector<TraceEvent> Trace, Trace2;
+    obs::VectorSink Run1, Run2;
     obs::TraceWriter Writer;
+    obs::TeeSink Tee(&Run1, &Writer); // oracle 5 watches the first run
     interp::InterpOptions Opts;
     Opts.Seed = Seed;
     Opts.MaxSteps = Cfg.MaxSteps;
     Opts.Guard.OnViolation = Cfg.Policy;
-    Opts.Trace = &Trace;
-    Opts.Sink = &Writer; // oracle 5 watches the first run
+    Opts.Sink = &Tee;
     interp::InterpResult R1 = Interp.run(Opts);
-    Opts.Trace = &Trace2;
-    Opts.Sink = nullptr;
+    Opts.Sink = &Run2;
     interp::InterpResult R2 = Interp.run(Opts);
+    const std::vector<obs::Event> &Trace = Run1.Events;
     ++Out.SchedulesRun;
     Out.ViolationsSeen += R1.Violations.size();
 
     // Oracle 2: bitwise determinism per seed.
     Digest D1, D2;
     digestRun(D1, R1, Trace);
-    digestRun(D2, R2, Trace2);
-    if (D1.H != D2.H || Trace != Trace2) {
+    digestRun(D2, R2, Run2.Events);
+    if (D1.H != D2.H || Trace != Run2.Events) {
       Out.Failure = FailureKind::Determinism;
       std::ostringstream OS;
       OS << "seed " << Seed << ": two runs differ (digest " << D1.H << " vs "
-         << D2.H << ", trace " << Trace.size() << " vs " << Trace2.size()
+         << D2.H << ", trace " << Trace.size() << " vs " << Run2.Events.size()
          << " events)";
       Out.Detail = OS.str();
       return Out;
@@ -697,7 +700,9 @@ OracleOutcome sharc::fuzz::runOracles(const std::string &Source,
       ++Out.PolicyChecks;
     }
 
-    if (Trace.size() > Cfg.MaxTraceEvents) {
+    size_t ScheduleEvents =
+        std::count_if(Trace.begin(), Trace.end(), isScheduleEvent);
+    if (ScheduleEvents > Cfg.MaxScheduleEvents) {
       ++Out.TraceSkips;
       ++Out.RcSkips;
       continue;
@@ -705,7 +710,7 @@ OracleOutcome sharc::fuzz::runOracles(const std::string &Source,
 
     // Oracle 3: production detectors vs reference replays. A trace
     // whose thread ids do not fit the detectors' slots is a skip.
-    if (std::any_of(Trace.begin(), Trace.end(), [](const TraceEvent &Ev) {
+    if (std::any_of(Trace.begin(), Trace.end(), [](const obs::Event &Ev) {
           return Ev.Tid >= racedet::MaxTids;
         })) {
       ++Out.TraceSkips;
@@ -759,12 +764,12 @@ OracleOutcome sharc::fuzz::runOracles(const std::string &Source,
       std::vector<int64_t> Expected;
       uint64_t MaxSlot = 0;
       bool HasPtrEvents = false;
-      for (const TraceEvent &Ev : Trace) {
-        if (Ev.K == TraceEvent::Kind::PtrStore) {
+      for (const obs::Event &Ev : Trace) {
+        if (Ev.K == obs::EventKind::PtrStore) {
           RcTids.insert(Ev.Tid);
           MaxSlot = std::max(MaxSlot, Ev.Addr);
           HasPtrEvents = true;
-        } else if (Ev.K == TraceEvent::Kind::CastQuery) {
+        } else if (Ev.K == obs::EventKind::CastQuery) {
           RcTids.insert(Ev.Tid);
           Expected.push_back(Ev.Value);
           HasPtrEvents = true;

@@ -22,8 +22,8 @@
 ///      reproduce the interpreter's oneref count at every sharing cast,
 ///      and both engines must agree with each other.
 ///   5. Trace round-trip: serialising the run through the obs
-///      TraceWriter and parsing the bytes back must reproduce the legacy
-///      schedule trace event-for-event, carry one Conflict record per
+///      TraceWriter and parsing the bytes back must reproduce the events
+///      the run published one for one, carry one Conflict record per
 ///      violation, agree with the run's aggregate stats, and end with a
 ///      final StatsSnapshot sample equal to toStatsSnapshot(run).
 ///   6. Policy agreement (first schedule): the guard layer must behave
@@ -87,7 +87,7 @@ struct OracleConfig {
   uint64_t Seed = 1;       ///< Base scheduler seed.
   unsigned Schedules = 4;  ///< Distinct scheduler seeds to explore.
   uint64_t MaxSteps = 1u << 17;
-  size_t MaxTraceEvents = 400000; ///< Replay cutoff per schedule.
+  size_t MaxScheduleEvents = 400000; ///< Replay cutoff per schedule.
   /// Violation policy for the base interpreter runs (sharc-fuzz --policy
   /// or SHARC_POLICY). The policy-agreement oracle needs the continue
   /// run's full violation multiset as its reference, so it only fires

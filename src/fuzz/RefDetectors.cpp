@@ -11,7 +11,6 @@
 
 using namespace sharc;
 using namespace sharc::fuzz;
-using interp::TraceEvent;
 
 namespace {
 
@@ -168,33 +167,33 @@ private:
 } // namespace
 
 RefRaceResult sharc::fuzz::referenceRaces(
-    const std::vector<TraceEvent> &Trace) {
+    const std::vector<obs::Event> &Trace) {
   RefEraser E;
   RefHb H;
-  for (const TraceEvent &Ev : Trace) {
+  for (const obs::Event &Ev : Trace) {
     switch (Ev.K) {
-    case TraceEvent::Kind::Read:
+    case obs::EventKind::Read:
       E.access(Ev.Tid, Ev.Addr, false);
       H.access(Ev.Tid, Ev.Addr, false);
       break;
-    case TraceEvent::Kind::Write:
+    case obs::EventKind::Write:
       E.access(Ev.Tid, Ev.Addr, true);
       H.access(Ev.Tid, Ev.Addr, true);
       break;
-    case TraceEvent::Kind::LockAcquire:
+    case obs::EventKind::LockAcquire:
       E.acquire(Ev.Tid, Ev.Addr);
       H.acquire(Ev.Tid, Ev.Addr);
       break;
-    case TraceEvent::Kind::LockRelease:
+    case obs::EventKind::LockRelease:
       E.release(Ev.Tid, Ev.Addr);
       H.release(Ev.Tid, Ev.Addr);
       break;
-    case TraceEvent::Kind::SpawnEdge:
+    case obs::EventKind::SpawnEdge:
       // Parent half of the spawn edge: release the token.
       E.release(Ev.Tid, Ev.Addr);
       H.release(Ev.Tid, Ev.Addr);
       break;
-    case TraceEvent::Kind::ThreadStart:
+    case obs::EventKind::ThreadStart:
       H.threadBegin(Ev.Tid);
       if (Ev.Addr != 0) {
         E.acquire(Ev.Tid, Ev.Addr);
@@ -203,9 +202,14 @@ RefRaceResult sharc::fuzz::referenceRaces(
         H.release(Ev.Tid, Ev.Addr);
       }
       break;
-    case TraceEvent::Kind::ThreadExit:
-    case TraceEvent::Kind::PtrStore:
-    case TraceEvent::Kind::CastQuery:
+    case obs::EventKind::ThreadExit:
+    case obs::EventKind::PtrStore:
+    case obs::EventKind::CastQuery:
+    case obs::EventKind::Conflict:
+    case obs::EventKind::SharedLockAcquire:
+    case obs::EventKind::SharedLockRelease:
+    case obs::EventKind::SharingCast:
+    case obs::EventKind::LockWait:
       break;
     }
   }

@@ -26,7 +26,7 @@
 #ifndef SHARC_FUZZ_REFDETECTORS_H
 #define SHARC_FUZZ_REFDETECTORS_H
 
-#include "interp/Interp.h"
+#include "obs/Event.h"
 
 #include <cstdint>
 #include <vector>
@@ -41,8 +41,9 @@ struct RefRaceResult {
   std::vector<uint64_t> HbRacy;
 };
 
-/// Replays \p Trace through both reference algorithms.
-RefRaceResult referenceRaces(const std::vector<interp::TraceEvent> &Trace);
+/// Replays \p Trace, an interpreter run's event stream, through both
+/// reference algorithms.
+RefRaceResult referenceRaces(const std::vector<obs::Event> &Trace);
 
 } // namespace fuzz
 } // namespace sharc

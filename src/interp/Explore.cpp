@@ -25,6 +25,8 @@
 
 #include "interp/Explore.h"
 
+#include "obs/Sink.h"
+
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -213,9 +215,11 @@ public:
       : Opts(Opts), Stats(Stats) {}
 
   std::vector<Node> Nodes;
+  /// The interpreter's sink: the event stream of the run in flight.
+  obs::VectorSink Trace;
 
-  void beginRun(std::vector<TraceEvent> *T) {
-    Trace = T;
+  void beginRun() {
+    Trace.Events.clear();
     Depth = 0;
     LastTP = -1;
     ClosedTP = -1;
@@ -265,7 +269,7 @@ public:
         return Abort;
       }
       if (CP.Kind == ChoiceKind::ThreadPick) {
-        N.TraceOff = Trace->size();
+        N.TraceOff = Trace.Events.size();
         LastTP = static_cast<int>(Depth);
       }
       ++Depth;
@@ -323,7 +327,7 @@ public:
     }
     N.Pick = N.Enabled[Chosen];
     N.Backtrack = bit(Chosen);
-    N.TraceOff = Trace->size();
+    N.TraceOff = Trace.Events.size();
     LastTP = static_cast<int>(Nodes.size()) - 1;
     ++Depth;
     return Chosen;
@@ -491,28 +495,35 @@ private:
     Footprint &Fp = N.Fp;
     Fp.assign(PendingNotes.begin(), PendingNotes.end());
     PendingNotes.clear();
-    for (size_t I = N.TraceOff; I < Trace->size(); ++I) {
-      const TraceEvent &E = (*Trace)[I];
+    for (size_t I = N.TraceOff; I < Trace.Events.size(); ++I) {
+      const obs::Event &E = Trace.Events[I];
       switch (E.K) {
-      case TraceEvent::Kind::Read:
+      case obs::EventKind::Read:
         Fp.push_back(FpItem{E.Addr, 0});
         break;
-      case TraceEvent::Kind::Write:
-      case TraceEvent::Kind::PtrStore:
+      case obs::EventKind::Write:
+      case obs::EventKind::PtrStore:
         Fp.push_back(FpItem{E.Addr, 1});
         break;
-      case TraceEvent::Kind::LockAcquire:
-      case TraceEvent::Kind::LockRelease:
+      case obs::EventKind::LockAcquire:
+      case obs::EventKind::LockRelease:
         Fp.push_back(FpItem{E.Addr, 2});
         break;
-      case TraceEvent::Kind::CastQuery:
+      case obs::EventKind::CastQuery:
         Fp.push_back(FpItem{0, 4});
         break;
-      case TraceEvent::Kind::SpawnEdge:
-      case TraceEvent::Kind::ThreadStart:
-      case TraceEvent::Kind::ThreadExit:
+      case obs::EventKind::SpawnEdge:
+      case obs::EventKind::ThreadStart:
+      case obs::EventKind::ThreadExit:
+      case obs::EventKind::Conflict:
+      case obs::EventKind::SharedLockAcquire:
+      case obs::EventKind::SharedLockRelease:
+      case obs::EventKind::SharingCast:
+      case obs::EventKind::LockWait:
         // Spawn edges happen within the parent's step; the exit's
-        // access-bit erasure arrives via note(ImplicitWrite).
+        // access-bit erasure arrives via note(ImplicitWrite); a Conflict
+        // reports on the step's accesses. Unprofiled interpreter runs
+        // publish none of the other kinds.
         break;
       }
     }
@@ -522,7 +533,6 @@ private:
 
   const ExploreOptions &Opts;
   ExploreStats &Stats;
-  std::vector<TraceEvent> *Trace = nullptr;
   size_t Depth = 0;
   int LastTP = -1;   ///< Node index of the step in flight.
   int ClosedTP = -1; ///< Last node whose footprint closed (this run).
@@ -596,14 +606,12 @@ ExploreResult interp::explore(minic::Program &Prog,
   std::set<ExploreVerdict> Witnessed;
   uint64_t Executions = 0;
   bool FirstRun = true;
-  // One trace buffer for every run: run() clears it, keeping its storage.
-  std::vector<TraceEvent> Trace;
   InterpOptions IO;
   IO.Seed = 1; // unused: every decision flows through the schedule
   IO.MaxSteps = Opts.MaxStepsPerRun;
   IO.EntryPoint = Opts.EntryPoint;
   IO.Sched = &ES;
-  IO.Trace = &Trace;
+  IO.Sink = &ES.Trace;
 
   for (;;) {
     if (Executions >= Opts.MaxRuns ||
@@ -611,7 +619,7 @@ ExploreResult interp::explore(minic::Program &Prog,
       R.Stats.BudgetExhausted = true;
       break;
     }
-    ES.beginRun(&Trace);
+    ES.beginRun();
     InterpResult Run = I.run(IO);
     ES.endRun();
     ++Executions;

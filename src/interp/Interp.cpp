@@ -21,26 +21,7 @@ using namespace sharc::interp;
 using namespace sharc::minic;
 using sharc::checker::AccessCheck;
 
-// The obs event vocabulary embeds TraceEvent::Kind as a prefix so the
-// two streams convert by cast. A reorder on either side must keep this
-// table true (the fuzzer's trace oracle also pins it at runtime).
-#define SHARC_CHECK_KIND(K)                                                    \
-  static_assert(static_cast<int>(obs::EventKind::K) ==                         \
-                static_cast<int>(TraceEvent::Kind::K))
-SHARC_CHECK_KIND(Read);
-SHARC_CHECK_KIND(Write);
-SHARC_CHECK_KIND(LockAcquire);
-SHARC_CHECK_KIND(LockRelease);
-SHARC_CHECK_KIND(SpawnEdge);
-SHARC_CHECK_KIND(ThreadStart);
-SHARC_CHECK_KIND(ThreadExit);
-SHARC_CHECK_KIND(PtrStore);
-SHARC_CHECK_KIND(CastQuery);
-#undef SHARC_CHECK_KIND
-static_assert(static_cast<int>(obs::LastInterpKind) ==
-              static_cast<int>(TraceEvent::Kind::CastQuery));
-
-// Violation kinds likewise embed into obs::ConflictKind by cast.
+// Violation kinds embed into obs::ConflictKind by cast.
 static_assert(static_cast<int>(obs::ConflictKind::ReadConflict) ==
               static_cast<int>(Violation::Kind::ReadConflict));
 static_assert(static_cast<int>(obs::ConflictKind::WriteConflict) ==
@@ -173,25 +154,31 @@ struct ThreadCtx {
   Addr BlockLock = 0;
   Addr WaitCond = 0;
   Addr ReacquireLock = 0;
-  std::vector<Frame> Frames;
-  std::vector<Addr> AccessLog;
-  std::vector<Addr> HeldLocks;
-  std::vector<Addr> HeldSharedLocks; ///< rwlock read holds
-
-  //===--- profiling (InterpOptions::Profile) -------------------------------
-  /// Step count when this thread first blocked on its pending lock
-  /// acquisition; 0 while not waiting. Survives wake/re-block cycles so
-  /// the wait covers the whole contended acquisition.
-  uint64_t BlockStartStep = 0;
   /// Line of the cond_wait call, attributed to the wakeup reacquire.
   uint32_t ReacquireLine = 0;
-  /// Open lock holds: (lock, acquire step, acquirer line).
-  struct ProfHold {
+  std::vector<Frame> Frames;
+  std::vector<Addr> AccessLog;
+  /// The thread's lock log, oldest first: one entry per hold, shared
+  /// (rwlock_rdlock) or exclusive.
+  struct LockHold {
     Addr Lock = 0;
-    uint64_t Step = 0;
-    uint32_t Line = 0;
+    bool Shared = false;
+    uint64_t Step = 0; ///< Scheduler step of the acquire.
+    uint32_t Line = 0; ///< Line of the acquiring call.
   };
-  std::vector<ProfHold> ProfHolds;
+  std::vector<LockHold> Holds;
+
+  /// Step count when this thread first blocked on its pending lock
+  /// acquisition; 0 while not waiting. Survives wake/re-block cycles so
+  /// the wait covers the whole contended acquisition. Profiling only.
+  uint64_t BlockStartStep = 0;
+};
+
+/// One lock's state: the exclusive holder's tid (0 when none) and the
+/// number of shared holds.
+struct LockState {
+  unsigned Owner = 0;
+  unsigned Readers = 0;
 };
 
 /// The whole machine state for one run.
@@ -234,6 +221,17 @@ private:
   ThreadCtx &spawnThread(const FuncDecl *F, int64_t Arg, bool HasArg);
   void threadExit(ThreadCtx &T);
   void step(ThreadCtx &T);
+  /// Takes Lock for T, shared or exclusive, at the call on Line. An
+  /// exclusive acquire waits for the owner and every shared holder; a
+  /// shared one waits for the owner. \returns false when T blocked and
+  /// must retry.
+  bool acquire(ThreadCtx &T, Addr Lock, bool Shared, uint32_t Line);
+  /// Drops T's newest hold of Lock in the given mode and wakes the
+  /// lock's waiters once no shared holder is left. An exclusive release
+  /// requires T to be the owner, a shared one a shared hold; otherwise
+  /// it reports Misuse at Call, fails T and \returns false.
+  bool release(ThreadCtx &T, Addr Lock, bool Shared, const CallExpr *Call,
+               const char *Misuse);
   void wakeLockWaiters(Addr Lock);
 
   //===--- execution ---------------------------------------------------------
@@ -264,17 +262,10 @@ private:
   /// free) so pointer-slot mutations still reach the trace while
   /// Stats.TotalAccesses keeps its meaning.
   void setCellRaw(ThreadCtx &T, Addr A, int64_t V, bool IsPtr);
-  /// True when any consumer wants the event stream; gates the implicit
-  /// PtrStore bookkeeping so disabled runs skip it entirely.
-  bool tracing() const { return Options.Trace || Options.Sink; }
-
-  void emit(TraceEvent::Kind K, const ThreadCtx &T, uint64_t A,
+  void emit(obs::EventKind K, const ThreadCtx &T, uint64_t A,
             int64_t V = 0) {
-    if (Options.Trace)
-      Options.Trace->push_back(TraceEvent{K, T.TraceTid, A, V});
     if (Options.Sink)
-      Options.Sink->event(obs::Event{static_cast<obs::EventKind>(K),
-                                     T.TraceTid, A, V, 0});
+      Options.Sink->event(obs::Event{K, T.TraceTid, A, V, 0});
   }
 
   /// Records a runtime error of the machine itself, which no thread
@@ -320,7 +311,7 @@ private:
   }
   void profLockBlocked(ThreadCtx &T, Addr Lock, uint32_t Line);
   void profLockAcquired(ThreadCtx &T, Addr Lock, uint32_t Line);
-  void profLockReleased(ThreadCtx &T, Addr Lock);
+  void profLockReleased(ThreadCtx &T, const ThreadCtx::LockHold &Hold);
   void publishProfile();
 
   //===--- sharc-live --------------------------------------------------------
@@ -329,8 +320,7 @@ private:
   /// publishes the final, trace-exact snapshot itself after the run.
   void publishLive();
 
-  void chkRead(ThreadCtx &T, Addr A, const Expr *Node);
-  void chkWrite(ThreadCtx &T, Addr A, const Expr *Node);
+  void chkAccess(ThreadCtx &T, Addr A, const Expr *Node, bool IsWrite);
   void chkLock(ThreadCtx &T, Frame &F, const AccessCheck &Check, Addr A,
                const Expr *Node);
   void report(Violation::Kind K, ThreadCtx &T, Addr A, const Expr *Node,
@@ -373,9 +363,9 @@ private:
   std::vector<Object> Objects;
   std::map<const VarDecl *, Addr> Globals;
   std::map<const Expr *, Addr> StringCache;
-  std::map<Addr, unsigned> LockOwner;
-  /// rwlock reader counts (the writer side reuses LockOwner).
-  std::map<Addr, unsigned> ReaderCount;
+  /// Every lock an acquire was attempted on; the deadlock report reads
+  /// the owner of each lock a thread waits on.
+  std::map<Addr, LockState> Locks;
   std::map<Addr, std::vector<unsigned>> CondWaiters;
   /// Every thread spawned this run, in creation order; a deque, so
   /// spawning never moves a thread.
@@ -539,7 +529,7 @@ void Machine::freeObject(ThreadCtx &T, Addr A, const Expr *At) {
   // considered to be accessed by any thread."
   for (Addr C = O->Start; C != O->Start + O->Size; ++C) {
     if (Mem[C].IsPtr)
-      emit(TraceEvent::Kind::PtrStore, T, C, 0);
+      emit(obs::EventKind::PtrStore, T, C, 0);
     Mem[C] = Cell{};
     schedNote(SchedNote::ImplicitWrite, T, C);
   }
@@ -645,29 +635,21 @@ void Machine::report(Violation::Kind K, ThreadCtx &T, Addr A,
     T.State = ThreadCtx::St::Failed;
 }
 
-void Machine::chkRead(ThreadCtx &T, Addr A, const Expr *Node) {
+/// chkread/chkwrite (Figure 5): a read conflicts with another thread's
+/// write, a write with another thread's read or write.
+void Machine::chkAccess(ThreadCtx &T, Addr A, const Expr *Node,
+                        bool IsWrite) {
   ++Result.Stats.DynamicChecks;
   Cell &C = Mem[A];
   uint64_t Bit = uint64_t(1) << T.Tid;
-  if ((C.Writers & ~Bit) != 0 && !isCellQuarantined(A))
-    report(Violation::Kind::ReadConflict, T, A, Node, &C);
-  if ((C.Readers & Bit) == 0 && (C.Writers & Bit) == 0)
+  uint64_t Conflicting = IsWrite ? C.Readers | C.Writers : C.Writers;
+  if ((Conflicting & ~Bit) != 0 && !isCellQuarantined(A))
+    report(IsWrite ? Violation::Kind::WriteConflict
+                   : Violation::Kind::ReadConflict,
+           T, A, Node, &C);
+  if (((C.Readers | C.Writers) & Bit) == 0)
     T.AccessLog.push_back(A);
-  C.Readers |= Bit;
-  C.LastTid = static_cast<uint16_t>(T.Tid);
-  C.LastExpr = Node;
-  C.LastLine = Node ? Node->Loc.Line : 0;
-}
-
-void Machine::chkWrite(ThreadCtx &T, Addr A, const Expr *Node) {
-  ++Result.Stats.DynamicChecks;
-  Cell &C = Mem[A];
-  uint64_t Bit = uint64_t(1) << T.Tid;
-  if (((C.Readers | C.Writers) & ~Bit) != 0 && !isCellQuarantined(A))
-    report(Violation::Kind::WriteConflict, T, A, Node, &C);
-  if ((C.Readers & Bit) == 0 && (C.Writers & Bit) == 0)
-    T.AccessLog.push_back(A);
-  C.Writers |= Bit;
+  (IsWrite ? C.Writers : C.Readers) |= Bit;
   C.LastTid = static_cast<uint16_t>(T.Tid);
   C.LastExpr = Node;
   C.LastLine = Node ? Node->Loc.Line : 0;
@@ -702,19 +684,15 @@ void Machine::chkLock(ThreadCtx &T, Frame &F, const AccessCheck &Check,
     LockValue = evalExpr(T, F, Check.LockExpr);
   }
   Addr Lock = static_cast<Addr>(LockValue);
-  for (Addr Held : T.HeldLocks)
-    if (Held == Lock)
+  bool SharedEnough = Check.K == AccessCheck::Kind::LockShared;
+  for (const ThreadCtx::LockHold &H : T.Holds)
+    if (H.Lock == Lock && (!H.Shared || SharedEnough))
       return;
-  if (Check.K == AccessCheck::Kind::LockShared)
-    for (Addr Held : T.HeldSharedLocks)
-      if (Held == Lock)
-        return;
   if (isCellQuarantined(A))
     return;
   report(Violation::Kind::LockViolation, T, A, Node, nullptr,
-         Check.K == AccessCheck::Kind::LockShared
-             ? "required lock is not held (shared or exclusive)"
-             : "required lock is not held");
+         SharedEnough ? "required lock is not held (shared or exclusive)"
+                      : "required lock is not held");
 }
 
 void Machine::runChecks(ThreadCtx &T, Frame &F, const Expr *Node, Addr A) {
@@ -724,10 +702,8 @@ void Machine::runChecks(ThreadCtx &T, Frame &F, const Expr *Node, Addr A) {
   for (const AccessCheck &Check : *Checks) {
     switch (Check.K) {
     case AccessCheck::Kind::Read:
-      chkRead(T, A, Node);
-      break;
     case AccessCheck::Kind::Write:
-      chkWrite(T, A, Node);
+      chkAccess(T, A, Node, Check.K == AccessCheck::Kind::Write);
       break;
     case AccessCheck::Kind::Lock:
     case AccessCheck::Kind::LockShared:
@@ -745,7 +721,7 @@ int64_t Machine::readCell(ThreadCtx &T, Addr A, const Expr *Node) {
   ++Result.Stats.TotalAccesses;
   ++Result.Stats.Reads;
   profRecord(obs::CheckKind::DynamicRead, T, Node, 8);
-  emit(TraceEvent::Kind::Read, T, A);
+  emit(obs::EventKind::Read, T, A);
   return Mem[A].V;
 }
 
@@ -754,16 +730,16 @@ void Machine::storeCell(ThreadCtx &T, Addr A, int64_t V, bool IsPtr,
   ++Result.Stats.TotalAccesses;
   ++Result.Stats.Writes;
   profRecord(obs::CheckKind::DynamicWrite, T, Node, 8);
-  emit(TraceEvent::Kind::Write, T, A);
-  if (tracing() && (IsPtr || Mem[A].IsPtr))
-    emit(TraceEvent::Kind::PtrStore, T, A, IsPtr ? V : 0);
+  emit(obs::EventKind::Write, T, A);
+  if (Options.Sink && (IsPtr || Mem[A].IsPtr))
+    emit(obs::EventKind::PtrStore, T, A, IsPtr ? V : 0);
   Mem[A].V = V;
   Mem[A].IsPtr = IsPtr;
 }
 
 void Machine::setCellRaw(ThreadCtx &T, Addr A, int64_t V, bool IsPtr) {
-  if (tracing() && (IsPtr || Mem[A].IsPtr))
-    emit(TraceEvent::Kind::PtrStore, T, A, IsPtr ? V : 0);
+  if (Options.Sink && (IsPtr || Mem[A].IsPtr))
+    emit(obs::EventKind::PtrStore, T, A, IsPtr ? V : 0);
   Mem[A].V = V;
   Mem[A].IsPtr = IsPtr;
   schedNote(SchedNote::ImplicitWrite, T, A);
@@ -1016,7 +992,7 @@ int64_t Machine::evalExpr(ThreadCtx &T, Frame &F, const Expr *E) {
     if (Obj != 0) {
       // oneref (Figure 6): the cast reference must be the only one.
       uint64_t Refs = countPtrCells(Obj);
-      emit(TraceEvent::Kind::CastQuery, T, static_cast<uint64_t>(Obj),
+      emit(obs::EventKind::CastQuery, T, static_cast<uint64_t>(Obj),
            static_cast<int64_t>(Refs));
       if (Refs > 1) {
         report(Violation::Kind::CastError, T, static_cast<Addr>(Obj),
@@ -1067,7 +1043,6 @@ void Machine::profLockBlocked(ThreadCtx &T, Addr Lock, uint32_t Line) {
   // after losing a wakeup race extend the same wait.
   if (T.BlockStartStep == 0)
     T.BlockStartStep = Result.Stats.Steps;
-  // LockWait is an obs-only event kind (never in the Trace vector).
   obs::Event Ev;
   Ev.K = obs::EventKind::LockWait;
   Ev.Tid = T.TraceTid;
@@ -1092,22 +1067,15 @@ void Machine::profLockAcquired(ThreadCtx &T, Addr Lock, uint32_t Line) {
     ++L.Contended;
   L.WaitSteps += Wait;
   ++L.WaitHist[obs::histBucket(Wait)];
-  T.ProfHolds.push_back(ThreadCtx::ProfHold{Lock, Result.Stats.Steps, Line});
 }
 
-void Machine::profLockReleased(ThreadCtx &T, Addr Lock) {
+void Machine::profLockReleased(ThreadCtx &T, const ThreadCtx::LockHold &Hold) {
   if (!Profiling)
     return;
-  for (auto It = T.ProfHolds.rbegin(); It != T.ProfHolds.rend(); ++It) {
-    if (It->Lock != Lock)
-      continue;
-    uint64_t Held = Result.Stats.Steps - It->Step;
-    LockAgg &L = ProfLocks[std::make_tuple(T.TraceTid, Lock, It->Line)];
-    L.HoldSteps += Held;
-    ++L.HoldHist[obs::histBucket(Held)];
-    T.ProfHolds.erase(std::next(It).base());
-    return;
-  }
+  uint64_t Held = Result.Stats.Steps - Hold.Step;
+  LockAgg &L = ProfLocks[std::make_tuple(T.TraceTid, Hold.Lock, Hold.Line)];
+  L.HoldSteps += Held;
+  ++L.HoldHist[obs::histBucket(Held)];
 }
 
 //===----------------------------------------------------------------------===//
@@ -1118,67 +1086,40 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
                           const std::vector<int64_t> &Args,
                           const CallExpr *Call) {
   const std::string &Name = F->Name;
-  if (Name == "mutex_lock") {
+  if (Name == "mutex_lock" || Name == "rwlock_wrlock" ||
+      Name == "rwlock_rdlock") {
     Addr Lock = static_cast<Addr>(Args[0]);
-    unsigned &Owner = LockOwner[Lock];
-    if (Owner == 0) {
-      Owner = T.Tid;
-      T.HeldLocks.push_back(Lock);
-      emit(TraceEvent::Kind::LockAcquire, T, Lock);
-      profLockAcquired(T, Lock, Call->Loc.Line);
-      return true;
-    }
-    if (Owner == T.Tid) {
+    // Only mutex_lock reports a recursive acquire; a recursive
+    // rwlock_wrlock blocks on itself.
+    if (Name == "mutex_lock" && Locks[Lock].Owner == T.Tid) {
       report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
              "recursive lock acquisition");
       T.State = ThreadCtx::St::Failed;
       return true;
     }
-    T.State = ThreadCtx::St::BlockedLock;
-    T.BlockLock = Lock;
-    schedNote(SchedNote::BlockedLock, T, Lock);
-    profLockBlocked(T, Lock, Call->Loc.Line);
-    return false;
+    return acquire(T, Lock, Name == "rwlock_rdlock", Call->Loc.Line);
   }
   if (Name == "mutex_unlock") {
-    Addr Lock = static_cast<Addr>(Args[0]);
-    unsigned &Owner = LockOwner[Lock];
-    if (Owner != T.Tid) {
-      report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
-             "unlock of a mutex not held by this thread");
-      T.State = ThreadCtx::St::Failed;
-      return true;
-    }
-    Owner = 0;
-    for (auto It = T.HeldLocks.begin(); It != T.HeldLocks.end(); ++It)
-      if (*It == Lock) {
-        T.HeldLocks.erase(It);
-        break;
-      }
-    profLockReleased(T, Lock);
-    emit(TraceEvent::Kind::LockRelease, T, Lock);
-    wakeLockWaiters(Lock);
+    release(T, static_cast<Addr>(Args[0]), /*Shared=*/false, Call,
+            "unlock of a mutex not held by this thread");
+    return true;
+  }
+  if (Name == "rwlock_wrunlock") {
+    release(T, static_cast<Addr>(Args[0]), /*Shared=*/false, Call,
+            "rwlock_wrunlock without the exclusive hold");
+    return true;
+  }
+  if (Name == "rwlock_rdunlock") {
+    release(T, static_cast<Addr>(Args[0]), /*Shared=*/true, Call,
+            "rwlock_rdunlock without a shared hold");
     return true;
   }
   if (Name == "cond_wait") {
     Addr Cond = static_cast<Addr>(Args[0]);
     Addr Lock = static_cast<Addr>(Args[1]);
-    unsigned &Owner = LockOwner[Lock];
-    if (Owner != T.Tid) {
-      report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
-             "cond_wait without holding the mutex");
-      T.State = ThreadCtx::St::Failed;
+    if (!release(T, Lock, /*Shared=*/false, Call,
+                 "cond_wait without holding the mutex"))
       return true;
-    }
-    Owner = 0;
-    for (auto It = T.HeldLocks.begin(); It != T.HeldLocks.end(); ++It)
-      if (*It == Lock) {
-        T.HeldLocks.erase(It);
-        break;
-      }
-    profLockReleased(T, Lock);
-    emit(TraceEvent::Kind::LockRelease, T, Lock);
-    wakeLockWaiters(Lock);
     T.State = ThreadCtx::St::WaitingCond;
     T.WaitCond = Cond;
     T.ReacquireLock = Lock;
@@ -1232,72 +1173,6 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
           W->WaitCond = 0;
         }
     Waiters.clear();
-    return true;
-  }
-  if (Name == "rwlock_rdlock") {
-    Addr Lock = static_cast<Addr>(Args[0]);
-    if (LockOwner[Lock] != 0) { // a writer holds it
-      T.State = ThreadCtx::St::BlockedLock;
-      T.BlockLock = Lock;
-      schedNote(SchedNote::BlockedLock, T, Lock);
-      profLockBlocked(T, Lock, Call->Loc.Line);
-      return false;
-    }
-    ++ReaderCount[Lock];
-    T.HeldSharedLocks.push_back(Lock);
-    emit(TraceEvent::Kind::LockAcquire, T, Lock);
-    profLockAcquired(T, Lock, Call->Loc.Line);
-    return true;
-  }
-  if (Name == "rwlock_rdunlock") {
-    Addr Lock = static_cast<Addr>(Args[0]);
-    auto It = std::find(T.HeldSharedLocks.begin(), T.HeldSharedLocks.end(),
-                        Lock);
-    if (It == T.HeldSharedLocks.end()) {
-      report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
-             "rwlock_rdunlock without a shared hold");
-      T.State = ThreadCtx::St::Failed;
-      return true;
-    }
-    T.HeldSharedLocks.erase(It);
-    profLockReleased(T, Lock);
-    emit(TraceEvent::Kind::LockRelease, T, Lock);
-    if (--ReaderCount[Lock] == 0)
-      wakeLockWaiters(Lock); // a writer may proceed
-    return true;
-  }
-  if (Name == "rwlock_wrlock") {
-    Addr Lock = static_cast<Addr>(Args[0]);
-    if (LockOwner[Lock] != 0 || ReaderCount[Lock] != 0) {
-      T.State = ThreadCtx::St::BlockedLock;
-      T.BlockLock = Lock;
-      schedNote(SchedNote::BlockedLock, T, Lock);
-      profLockBlocked(T, Lock, Call->Loc.Line);
-      return false;
-    }
-    LockOwner[Lock] = T.Tid;
-    T.HeldLocks.push_back(Lock);
-    emit(TraceEvent::Kind::LockAcquire, T, Lock);
-    profLockAcquired(T, Lock, Call->Loc.Line);
-    return true;
-  }
-  if (Name == "rwlock_wrunlock") {
-    Addr Lock = static_cast<Addr>(Args[0]);
-    if (LockOwner[Lock] != T.Tid) {
-      report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
-             "rwlock_wrunlock without the exclusive hold");
-      T.State = ThreadCtx::St::Failed;
-      return true;
-    }
-    LockOwner[Lock] = 0;
-    for (auto It = T.HeldLocks.begin(); It != T.HeldLocks.end(); ++It)
-      if (*It == Lock) {
-        T.HeldLocks.erase(It);
-        break;
-      }
-    profLockReleased(T, Lock);
-    emit(TraceEvent::Kind::LockRelease, T, Lock);
-    wakeLockWaiters(Lock);
     return true;
   }
   if (Name == "print_int") {
@@ -1376,7 +1251,7 @@ void Machine::returnFromFrame(ThreadCtx &T, int64_t Value, bool IsPtr) {
     if (Object *O = objectAt(A)) {
       for (Addr C = O->Start; C != O->Start + O->Size; ++C) {
         if (Mem[C].IsPtr)
-          emit(TraceEvent::Kind::PtrStore, T, C, 0);
+          emit(obs::EventKind::PtrStore, T, C, 0);
         Mem[C] = Cell{};
         schedNote(SchedNote::ImplicitWrite, T, C);
       }
@@ -1458,8 +1333,55 @@ void Machine::threadExit(ThreadCtx &T) {
   }
   T.AccessLog.clear();
   T.State = ThreadCtx::St::Done;
-  emit(TraceEvent::Kind::ThreadExit, T, 0);
+  emit(obs::EventKind::ThreadExit, T, 0);
   FreeTids.push_back(T.Tid);
+}
+
+bool Machine::acquire(ThreadCtx &T, Addr Lock, bool Shared, uint32_t Line) {
+  LockState &L = Locks[Lock];
+  if (L.Owner != 0 || (!Shared && L.Readers != 0)) {
+    T.State = ThreadCtx::St::BlockedLock;
+    T.BlockLock = Lock;
+    schedNote(SchedNote::BlockedLock, T, Lock);
+    profLockBlocked(T, Lock, Line);
+    return false;
+  }
+  if (Shared)
+    ++L.Readers;
+  else
+    L.Owner = T.Tid;
+  T.Holds.push_back({Lock, Shared, Result.Stats.Steps, Line});
+  emit(obs::EventKind::LockAcquire, T, Lock);
+  profLockAcquired(T, Lock, Line);
+  return true;
+}
+
+bool Machine::release(ThreadCtx &T, Addr Lock, bool Shared,
+                      const CallExpr *Call, const char *Misuse) {
+  LockState &L = Locks[Lock];
+  auto Hold = std::find_if(T.Holds.rbegin(), T.Holds.rend(),
+                           [&](const ThreadCtx::LockHold &H) {
+                             return H.Lock == Lock && H.Shared == Shared;
+                           });
+  if (Shared ? Hold == T.Holds.rend() : L.Owner != T.Tid) {
+    report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr, Misuse);
+    T.State = ThreadCtx::St::Failed;
+    return false;
+  }
+  if (Shared)
+    --L.Readers;
+  else
+    L.Owner = 0;
+  // An exclusive release checks the owner tid, so it also frees a lock
+  // whose holder exited and left its tid to T.
+  if (Hold != T.Holds.rend()) {
+    profLockReleased(T, *Hold);
+    T.Holds.erase(std::next(Hold).base());
+  }
+  emit(obs::EventKind::LockRelease, T, Lock);
+  if (L.Readers == 0)
+    wakeLockWaiters(Lock);
+  return true;
 }
 
 void Machine::wakeLockWaiters(Addr Lock) {
@@ -1581,9 +1503,9 @@ void Machine::dispatchStmt(ThreadCtx &T, Frame &F, const Stmt *S) {
       // token by the parent that the child acquires before its first
       // event (the detectors already understand lock edges).
       uint64_t Token = TraceTokenBase + ++NextSpawnToken;
-      emit(TraceEvent::Kind::SpawnEdge, T, Token);
+      emit(obs::EventKind::SpawnEdge, T, Token);
       ThreadCtx &Child = spawnThread(Spawn->Callee, Arg, HasArg);
-      emit(TraceEvent::Kind::ThreadStart, Child, Token);
+      emit(obs::EventKind::ThreadStart, Child, Token);
     }
     return;
   }
@@ -1651,20 +1573,10 @@ void Machine::dispatchTask(ThreadCtx &T, Frame &F, Task Tk) {
 
 void Machine::step(ThreadCtx &T) {
   if (T.ReacquireLock != 0) {
-    unsigned &Owner = LockOwner[T.ReacquireLock];
-    if (Owner != 0 && Owner != T.Tid) {
-      T.State = ThreadCtx::St::BlockedLock;
-      T.BlockLock = T.ReacquireLock;
-      schedNote(SchedNote::BlockedLock, T, T.ReacquireLock);
-      profLockBlocked(T, T.ReacquireLock, T.ReacquireLine);
-      return;
+    if (acquire(T, T.ReacquireLock, /*Shared=*/false, T.ReacquireLine)) {
+      T.ReacquireLock = 0;
+      T.ReacquireLine = 0;
     }
-    Owner = T.Tid;
-    T.HeldLocks.push_back(T.ReacquireLock);
-    emit(TraceEvent::Kind::LockAcquire, T, T.ReacquireLock);
-    profLockAcquired(T, T.ReacquireLock, T.ReacquireLine);
-    T.ReacquireLock = 0;
-    T.ReacquireLine = 0;
     return;
   }
   if (T.Frames.empty()) {
@@ -1776,8 +1688,6 @@ void Machine::publishLive() {
 }
 
 InterpResult Machine::runImpl() {
-  if (Options.Trace)
-    Options.Trace->clear();
   Mem.resize(1); // address 0 is the null cell, never used.
 
   for (VarDecl *G : Prog.Globals) {
@@ -1801,7 +1711,7 @@ InterpResult Machine::runImpl() {
     return std::move(Result);
   }
   ThreadCtx &Main = spawnThread(Entry, 0, false);
-  emit(TraceEvent::Kind::ThreadStart, Main, 0);
+  emit(obs::EventKind::ThreadStart, Main, 0);
 
   std::vector<ThreadCtx *> Runnable;
   std::vector<unsigned> RunnableTids;
@@ -1836,9 +1746,9 @@ InterpResult Machine::runImpl() {
           if (T->State == ThreadCtx::St::BlockedLock) {
             D += "; tid " + std::to_string(T->Tid) + " waits on lock " +
                  std::to_string(T->BlockLock);
-            auto Holder = LockOwner.find(T->BlockLock);
-            if (Holder != LockOwner.end())
-              D += " held by tid " + std::to_string(Holder->second);
+            auto Holder = Locks.find(T->BlockLock);
+            if (Holder != Locks.end())
+              D += " held by tid " + std::to_string(Holder->second.Owner);
           } else if (T->State == ThreadCtx::St::WaitingCond) {
             D += "; tid " + std::to_string(T->Tid) + " waits on cond " +
                  std::to_string(T->WaitCond);

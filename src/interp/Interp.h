@@ -79,39 +79,6 @@ struct Violation {
   std::string format(const std::string &FileName) const;
 };
 
-/// One entry of the schedule/memory trace a run can record (see
-/// InterpOptions::Trace). The trace is a total order of the events that
-/// matter to external analyses: every cell access, every lock transition,
-/// the spawn happens-before edges, and every pointer-slot mutation
-/// (including the implicit ones: parameter copies, frame death, free).
-/// Replaying it drives the race detectors and reference-counting engines
-/// through exactly the interleaving the scheduler chose, which is what
-/// the differential fuzzing oracles in src/fuzz/ compare against.
-struct TraceEvent {
-  enum class Kind : uint8_t {
-    Read,        ///< Cell read; Addr is the cell address.
-    Write,       ///< Cell write; Addr is the cell address.
-    LockAcquire, ///< Mutex/rwlock acquired (shared or exclusive).
-    LockRelease, ///< Mutex/rwlock released.
-    SpawnEdge,   ///< Parent half of a spawn edge; Addr is a fresh token.
-    ThreadStart, ///< First event of a thread; Addr is the spawn token
-                 ///< (0 for the entry thread).
-    ThreadExit,  ///< Thread reached done (or failed).
-    PtrStore,    ///< A pointer-holding slot changed: Addr = slot,
-                 ///< Value = new pointer value (0 when cleared).
-    CastQuery,   ///< Sharing cast oneref query: Addr = object address,
-                 ///< Value = the interpreter's reference count.
-  };
-  Kind K = Kind::Read;
-  unsigned Tid = 0; ///< Trace tid: unique per thread, never reused.
-  uint64_t Addr = 0;
-  int64_t Value = 0;
-
-  bool operator==(const TraceEvent &O) const {
-    return K == O.K && Tid == O.Tid && Addr == O.Addr && Value == O.Value;
-  }
-};
-
 /// Spawn tokens live far above any real cell address.
 constexpr uint64_t TraceTokenBase = uint64_t(1) << 40;
 
@@ -133,14 +100,16 @@ struct InterpOptions {
   uint64_t MaxSteps = 1u << 22; ///< Step budget before reporting livelock.
   bool FailStop = false;      ///< Figure 5 `fail` semantics.
   std::string EntryPoint = "main";
-  /// When non-null, the run appends its schedule/memory trace here.
-  /// The vector is cleared first. Null (the default) records nothing
-  /// and costs nothing.
-  std::vector<TraceEvent> *Trace = nullptr;
-  /// When non-null, every trace event is also published here as an
-  /// obs::Event (plus obs-only kinds: Conflict records for each
-  /// violation). The sink sees the same total order the Trace vector
-  /// records. Null (the default) publishes nothing and costs nothing.
+  /// When non-null, the run publishes its event stream here: a total
+  /// order of every cell access, every lock transition, the spawn
+  /// happens-before edges (SpawnEdge in the parent, then ThreadStart in
+  /// the child, both carrying a token above TraceTokenBase), every
+  /// pointer-slot mutation (including the implicit ones: parameter
+  /// copies, frame death, free), every sharing-cast oneref query, and a
+  /// Conflict record per violation. The explorer's footprints and the
+  /// fuzz oracles' detector and refcount replays read it. Events carry
+  /// trace tids: unique per thread, never reused. Null (the default)
+  /// publishes nothing and costs nothing.
   obs::Sink *Sink = nullptr;
   /// Per-site cost profiling (sharc-prof): aggregate every dynamic,
   /// lock, and cast check per file:line site during the run and publish

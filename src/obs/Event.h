@@ -3,10 +3,9 @@
 // Every runtime-ish component of the reproduction — the MiniC
 // interpreter, the native rt runtime, and the detectors reached through
 // rt's ReportSink — describes what it is doing as a stream of small
-// fixed-shape Events published to an obs::Sink.  The first nine kinds
-// mirror interp::TraceEvent::Kind one-to-one so the interpreter's
-// legacy Trace vector and the obs stream stay bitwise-convertible (the
-// differential fuzzer's fifth oracle pins this).
+// fixed-shape Events published to an obs::Sink.  The interpreter's
+// stream is the only record of its schedule: the explorer's footprints
+// and the differential fuzzer's replays read it.
 #ifndef SHARC_OBS_EVENT_H
 #define SHARC_OBS_EVENT_H
 
@@ -15,8 +14,8 @@
 namespace sharc::obs {
 
 enum class EventKind : uint8_t {
-  // 1:1 with interp::TraceEvent::Kind (order is load-bearing; see the
-  // static_assert block in src/interp/Interp.cpp).
+  // The nine kinds a run's schedule is made of come first: the fuzz
+  // oracles' isScheduleEvent (src/fuzz/Oracle.cpp) relies on the order.
   Read = 0,
   Write,
   LockAcquire,
@@ -39,7 +38,6 @@ enum class EventKind : uint8_t {
 };
 
 inline constexpr unsigned NumEventKinds = 14;
-inline constexpr EventKind LastInterpKind = EventKind::CastQuery;
 
 inline const char *eventKindName(EventKind K) {
   switch (K) {

@@ -16,6 +16,7 @@
 #include "interp/Interp.h"
 #include "minic/ExprTyper.h"
 #include "minic/Parser.h"
+#include "obs/Sink.h"
 
 #include <gtest/gtest.h>
 
@@ -628,7 +629,7 @@ TEST(InterpDeterminismTest, TraceDoesNotDependOnHeapLayout) {
   const Layout Layouts[] = {{0, false}, {1, false}, {4, false},
                             {4, true},  {16, false}, {16, true}};
   std::vector<std::unique_ptr<Compiled>> Keep;
-  std::vector<std::vector<TraceEvent>> Traces;
+  std::vector<obs::VectorSink> Traces;
   for (const Layout &L : Layouts) {
     std::vector<void *> Holes;
     for (size_t I = 0; I != L.Blocks; ++I)
@@ -643,14 +644,14 @@ TEST(InterpDeterminismTest, TraceDoesNotDependOnHeapLayout) {
     InterpOptions Options;
     Options.Seed = 5;
     Traces.emplace_back();
-    Options.Trace = &Traces.back();
+    Options.Sink = &Traces.back();
     Keep.back()->Interpreter->run(Options);
   }
   size_t Clears = 0;
-  for (const TraceEvent &Ev : Traces.front())
-    Clears += Ev.K == TraceEvent::Kind::PtrStore && Ev.Value == 0;
+  for (const obs::Event &Ev : Traces.front().Events)
+    Clears += Ev.K == obs::EventKind::PtrStore && Ev.Value == 0;
   EXPECT_GE(Clears, 4u) << "frame death should clear a, b, c and d";
   for (size_t I = 1; I != Traces.size(); ++I)
-    EXPECT_TRUE(Traces[I] == Traces.front())
+    EXPECT_TRUE(Traces[I].Events == Traces.front().Events)
         << "layout " << I << " produced a different trace";
 }
