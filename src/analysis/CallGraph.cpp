@@ -37,117 +37,32 @@ void CallGraph::addIndirectEdges(FuncDecl *From, const TypeNode *FnType) {
 }
 
 void CallGraph::scanStmt(FuncDecl *F, Stmt *S) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block:
-    for (Stmt *Child : cast<BlockStmt>(S)->Body)
-      scanStmt(F, Child);
-    return;
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    scanExpr(F, If->Cond);
-    scanStmt(F, If->Then);
-    scanStmt(F, If->Else);
-    return;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    scanExpr(F, While->Cond);
-    scanStmt(F, While->Body);
-    return;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    scanStmt(F, For->Init);
-    scanExpr(F, For->Cond);
-    scanExpr(F, For->Step);
-    scanStmt(F, For->Body);
-    return;
-  }
-  case StmtKind::Return:
-    scanExpr(F, cast<ReturnStmt>(S)->Value);
-    return;
-  case StmtKind::ExprStmt:
-    scanExpr(F, cast<ExprStmt>(S)->E);
-    return;
-  case StmtKind::DeclStmt:
-    scanExpr(F, cast<DeclStmt>(S)->Init);
-    return;
-  case StmtKind::Spawn: {
-    auto *Spawn = cast<SpawnStmt>(S);
-    scanExpr(F, Spawn->Arg);
-    if (Spawn->Callee) {
-      SpawnRoots.push_back(Spawn->Callee);
-      addEdge(F, Spawn->Callee);
-    }
-    return;
-  }
-  case StmtKind::Free:
-    scanExpr(F, cast<FreeStmt>(S)->Ptr);
-    return;
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
+  forEachChild(
+      S, [&](Stmt *Child) { scanStmt(F, Child); },
+      [&](Expr *E) { scanExpr(F, E); });
+  if (auto *Spawn = dyn_cast<SpawnStmt>(S); Spawn && Spawn->Callee) {
+    SpawnRoots.push_back(Spawn->Callee);
+    addEdge(F, Spawn->Callee);
   }
 }
 
 void CallGraph::scanExpr(FuncDecl *F, Expr *E) {
-  if (!E)
+  forEachChild(E, [&](Expr *Child) { scanExpr(F, Child); });
+  auto *Call = dyn_cast<CallExpr>(E);
+  if (!Call)
     return;
-  switch (E->Kind) {
-  case ExprKind::Call: {
-    auto *Call = cast<CallExpr>(E);
-    scanExpr(F, Call->Callee);
-    for (Expr *Arg : Call->Args)
-      scanExpr(F, Arg);
-    if (auto *Name = dyn_cast<NameExpr>(Call->Callee)) {
-      if (Name->Func) {
-        addEdge(F, Name->Func);
-        return;
-      }
+  if (auto *Name = dyn_cast<NameExpr>(Call->Callee)) {
+    if (Name->Func) {
+      addEdge(F, Name->Func);
+      return;
     }
-    // Indirect call: use the callee expression's type.
-    const TypeNode *CalleeType = Call->Callee->ExprType;
-    if (CalleeType && CalleeType->isPointer())
-      CalleeType = CalleeType->Pointee;
-    if (CalleeType && CalleeType->isFunc())
-      addIndirectEdges(F, CalleeType);
-    return;
   }
-  case ExprKind::Unary:
-    scanExpr(F, cast<UnaryExpr>(E)->Sub);
-    return;
-  case ExprKind::Binary: {
-    auto *Binary = cast<BinaryExpr>(E);
-    scanExpr(F, Binary->Lhs);
-    scanExpr(F, Binary->Rhs);
-    return;
-  }
-  case ExprKind::Assign: {
-    auto *Assign = cast<AssignExpr>(E);
-    scanExpr(F, Assign->Lhs);
-    scanExpr(F, Assign->Rhs);
-    return;
-  }
-  case ExprKind::Member:
-    scanExpr(F, cast<MemberExpr>(E)->Base);
-    return;
-  case ExprKind::Index: {
-    auto *Index = cast<IndexExpr>(E);
-    scanExpr(F, Index->Base);
-    scanExpr(F, Index->Idx);
-    return;
-  }
-  case ExprKind::Scast:
-    scanExpr(F, cast<ScastExpr>(E)->Src);
-    return;
-  case ExprKind::New:
-    scanExpr(F, cast<NewExpr>(E)->Count);
-    return;
-  default:
-    return;
-  }
+  // Indirect call: use the callee expression's type.
+  const TypeNode *CalleeType = Call->Callee->ExprType;
+  if (CalleeType && CalleeType->isPointer())
+    CalleeType = CalleeType->Pointee;
+  if (CalleeType && CalleeType->isFunc())
+    addIndirectEdges(F, CalleeType);
 }
 
 const std::vector<FuncDecl *> &CallGraph::calleesOf(FuncDecl *F) const {

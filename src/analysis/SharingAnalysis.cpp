@@ -130,97 +130,18 @@ void SharingAnalysis::seedDynamic(TypeNode *T, SourceLoc Loc,
 
 void SharingAnalysis::collectTouchedGlobalsExpr(Expr *E,
                                                 std::set<VarDecl *> &Touched) {
-  if (!E)
-    return;
-  switch (E->Kind) {
-  case ExprKind::Name: {
-    auto *Name = cast<NameExpr>(E);
+  if (auto *Name = dyn_cast<NameExpr>(E))
     if (Name->Var && Name->Var->Storage == StorageKind::Global)
       Touched.insert(Name->Var);
-    return;
-  }
-  case ExprKind::Unary:
-    return collectTouchedGlobalsExpr(cast<UnaryExpr>(E)->Sub, Touched);
-  case ExprKind::Binary: {
-    auto *Binary = cast<BinaryExpr>(E);
-    collectTouchedGlobalsExpr(Binary->Lhs, Touched);
-    collectTouchedGlobalsExpr(Binary->Rhs, Touched);
-    return;
-  }
-  case ExprKind::Assign: {
-    auto *Assign = cast<AssignExpr>(E);
-    collectTouchedGlobalsExpr(Assign->Lhs, Touched);
-    collectTouchedGlobalsExpr(Assign->Rhs, Touched);
-    return;
-  }
-  case ExprKind::Call: {
-    auto *Call = cast<CallExpr>(E);
-    collectTouchedGlobalsExpr(Call->Callee, Touched);
-    for (Expr *Arg : Call->Args)
-      collectTouchedGlobalsExpr(Arg, Touched);
-    return;
-  }
-  case ExprKind::Member:
-    return collectTouchedGlobalsExpr(cast<MemberExpr>(E)->Base, Touched);
-  case ExprKind::Index: {
-    auto *Index = cast<IndexExpr>(E);
-    collectTouchedGlobalsExpr(Index->Base, Touched);
-    collectTouchedGlobalsExpr(Index->Idx, Touched);
-    return;
-  }
-  case ExprKind::Scast:
-    return collectTouchedGlobalsExpr(cast<ScastExpr>(E)->Src, Touched);
-  case ExprKind::New:
-    return collectTouchedGlobalsExpr(cast<NewExpr>(E)->Count, Touched);
-  default:
-    return;
-  }
+  forEachChild(E,
+               [&](Expr *Child) { collectTouchedGlobalsExpr(Child, Touched); });
 }
 
 void SharingAnalysis::collectTouchedGlobals(Stmt *S,
                                             std::set<VarDecl *> &Touched) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block:
-    for (Stmt *Child : cast<BlockStmt>(S)->Body)
-      collectTouchedGlobals(Child, Touched);
-    return;
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    collectTouchedGlobalsExpr(If->Cond, Touched);
-    collectTouchedGlobals(If->Then, Touched);
-    collectTouchedGlobals(If->Else, Touched);
-    return;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    collectTouchedGlobalsExpr(While->Cond, Touched);
-    collectTouchedGlobals(While->Body, Touched);
-    return;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    collectTouchedGlobals(For->Init, Touched);
-    collectTouchedGlobalsExpr(For->Cond, Touched);
-    collectTouchedGlobalsExpr(For->Step, Touched);
-    collectTouchedGlobals(For->Body, Touched);
-    return;
-  }
-  case StmtKind::Return:
-    return collectTouchedGlobalsExpr(cast<ReturnStmt>(S)->Value, Touched);
-  case StmtKind::ExprStmt:
-    return collectTouchedGlobalsExpr(cast<ExprStmt>(S)->E, Touched);
-  case StmtKind::DeclStmt:
-    return collectTouchedGlobalsExpr(cast<DeclStmt>(S)->Init, Touched);
-  case StmtKind::Spawn:
-    return collectTouchedGlobalsExpr(cast<SpawnStmt>(S)->Arg, Touched);
-  case StmtKind::Free:
-    return collectTouchedGlobalsExpr(cast<FreeStmt>(S)->Ptr, Touched);
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
-  }
+  forEachChild(
+      S, [&](Stmt *Child) { collectTouchedGlobals(Child, Touched); },
+      [&](Expr *E) { collectTouchedGlobalsExpr(E, Touched); });
 }
 
 void SharingAnalysis::seedFromThreads() {
@@ -363,51 +284,10 @@ void SharingAnalysis::computeStoreInvolvedFormals() {
   struct Scanner {
     SharingAnalysis &SA;
     void stmt(Stmt *S) {
-      if (!S)
-        return;
-      switch (S->Kind) {
-      case StmtKind::Block:
-        for (Stmt *Child : cast<BlockStmt>(S)->Body)
-          stmt(Child);
-        return;
-      case StmtKind::If: {
-        auto *If = cast<IfStmt>(S);
-        expr(If->Cond);
-        stmt(If->Then);
-        stmt(If->Else);
-        return;
-      }
-      case StmtKind::While: {
-        auto *While = cast<WhileStmt>(S);
-        expr(While->Cond);
-        stmt(While->Body);
-        return;
-      }
-      case StmtKind::For: {
-        auto *For = cast<ForStmt>(S);
-        stmt(For->Init);
-        expr(For->Cond);
-        expr(For->Step);
-        stmt(For->Body);
-        return;
-      }
-      case StmtKind::Return:
-        return expr(cast<ReturnStmt>(S)->Value);
-      case StmtKind::ExprStmt:
-        return expr(cast<ExprStmt>(S)->E);
-      case StmtKind::DeclStmt:
-        return expr(cast<DeclStmt>(S)->Init);
-      case StmtKind::Spawn:
-        return expr(cast<SpawnStmt>(S)->Arg);
-      case StmtKind::Free:
-        return expr(cast<FreeStmt>(S)->Ptr);
-      default:
-        return;
-      }
+      forEachChild(
+          S, [&](Stmt *Child) { stmt(Child); }, [&](Expr *E) { expr(E); });
     }
     void expr(Expr *E) {
-      if (!E)
-        return;
       if (auto *Assign = dyn_cast<AssignExpr>(E)) {
         SA.markStoreInvolved(Assign->Lhs);
         // Storing a formal itself into non-local memory (a global or any
@@ -421,34 +301,8 @@ void SharingAnalysis::computeStoreInvolvedFormals() {
             if (LhsNonLocal)
               SA.StoreInvolved.insert(Name->Var);
           }
-        expr(Assign->Lhs);
-        expr(Assign->Rhs);
-        return;
       }
-      if (auto *Unary = dyn_cast<UnaryExpr>(E))
-        return expr(Unary->Sub);
-      if (auto *Binary = dyn_cast<BinaryExpr>(E)) {
-        expr(Binary->Lhs);
-        expr(Binary->Rhs);
-        return;
-      }
-      if (auto *Call = dyn_cast<CallExpr>(E)) {
-        expr(Call->Callee);
-        for (Expr *Arg : Call->Args)
-          expr(Arg);
-        return;
-      }
-      if (auto *Member = dyn_cast<MemberExpr>(E))
-        return expr(Member->Base);
-      if (auto *Index = dyn_cast<IndexExpr>(E)) {
-        expr(Index->Base);
-        expr(Index->Idx);
-        return;
-      }
-      if (auto *Scast = dyn_cast<ScastExpr>(E))
-        return expr(Scast->Src);
-      if (auto *New = dyn_cast<NewExpr>(E))
-        return expr(New->Count);
+      forEachChild(E, [&](Expr *Child) { expr(Child); });
     }
   };
   Scanner S{*this};
@@ -458,161 +312,80 @@ void SharingAnalysis::computeStoreInvolvedFormals() {
 }
 
 void SharingAnalysis::constrainExpr(FuncDecl *F, Expr *E) {
-  if (!E)
-    return;
-  switch (E->Kind) {
-  case ExprKind::Assign: {
-    auto *Assign = cast<AssignExpr>(E);
-    constrainExpr(F, Assign->Lhs);
-    constrainExpr(F, Assign->Rhs);
+  forEachChild(E, [&](Expr *Child) { constrainExpr(F, Child); });
+  if (auto *Assign = dyn_cast<AssignExpr>(E)) {
     linkAssignment(Assign->Lhs->ExprType, Assign->Rhs->ExprType,
                    Assign->Rhs);
     return;
   }
-  case ExprKind::Call: {
-    auto *Call = cast<CallExpr>(E);
-    constrainExpr(F, Call->Callee);
-    for (Expr *Arg : Call->Args)
-      constrainExpr(F, Arg);
-    // Builtin calls are covered by trusted read/write summaries
-    // (Section 4.4); no qualifier flow.
-    if (auto *Name = dyn_cast<NameExpr>(Call->Callee))
-      if (Name->Func && Name->Func->IsBuiltin)
-        return;
-    // Bind arguments: dynamic flows from actual to formal; back-flow only
-    // for store-involved formals.
-    FuncDecl *Direct = nullptr;
-    if (auto *Name = dyn_cast<NameExpr>(Call->Callee))
-      Direct = Name->Func;
-    const TypeNode *FnType = Call->Callee->ExprType;
-    if (FnType && FnType->isPointer())
-      FnType = FnType->Pointee;
-    if (!FnType || !FnType->isFunc())
+  auto *Call = dyn_cast<CallExpr>(E);
+  if (!Call)
+    return;
+  // Builtin calls are covered by trusted read/write summaries
+  // (Section 4.4); no qualifier flow.
+  if (auto *Name = dyn_cast<NameExpr>(Call->Callee))
+    if (Name->Func && Name->Func->IsBuiltin)
       return;
-    for (size_t I = 0;
-         I != std::min(FnType->Params.size(), Call->Args.size()); ++I) {
-      TypeNode *Formal = const_cast<TypeNode *>(FnType->Params[I]);
-      TypeNode *Actual = Call->Args[I]->ExprType;
-      if (isa<NullLitExpr>(Call->Args[I]))
-        continue;
-      bool BackFlow =
-          Direct && I < Direct->Params.size() &&
-          StoreInvolved.count(Direct->Params[I]) != 0;
-      // Indirect calls conservatively back-flow (any type-compatible
-      // function may be the callee).
-      if (!Direct)
-        BackFlow = true;
-      forEachPointeePair(Actual, Formal, [&](TypeNode *A, TypeNode *B) {
-        linkDirected(A, B);
-        if (BackFlow)
-          linkDirected(B, A);
-      });
-      // For direct calls also bind the *declared* parameter type (the
-      // FuncType params share nodes with the declaration, but keep this
-      // robust if they diverge).
-      if (Direct && I < Direct->Params.size() &&
-          Direct->Params[I]->DeclType != Formal) {
-        forEachPointeePair(Actual, Direct->Params[I]->DeclType,
-                           [&](TypeNode *A, TypeNode *B) {
-                             linkDirected(A, B);
-                             if (BackFlow)
-                               linkDirected(B, A);
-                           });
-      }
+  // Bind arguments: dynamic flows from actual to formal; back-flow only
+  // for store-involved formals.
+  FuncDecl *Direct = nullptr;
+  if (auto *Name = dyn_cast<NameExpr>(Call->Callee))
+    Direct = Name->Func;
+  const TypeNode *FnType = Call->Callee->ExprType;
+  if (FnType && FnType->isPointer())
+    FnType = FnType->Pointee;
+  if (!FnType || !FnType->isFunc())
+    return;
+  for (size_t I = 0; I != std::min(FnType->Params.size(), Call->Args.size());
+       ++I) {
+    TypeNode *Formal = const_cast<TypeNode *>(FnType->Params[I]);
+    TypeNode *Actual = Call->Args[I]->ExprType;
+    if (isa<NullLitExpr>(Call->Args[I]))
+      continue;
+    bool BackFlow = Direct && I < Direct->Params.size() &&
+                    StoreInvolved.count(Direct->Params[I]) != 0;
+    // Indirect calls conservatively back-flow (any type-compatible
+    // function may be the callee).
+    if (!Direct)
+      BackFlow = true;
+    forEachPointeePair(Actual, Formal, [&](TypeNode *A, TypeNode *B) {
+      linkDirected(A, B);
+      if (BackFlow)
+        linkDirected(B, A);
+    });
+    // For direct calls also bind the *declared* parameter type (the
+    // FuncType params share nodes with the declaration, but keep this
+    // robust if they diverge).
+    if (Direct && I < Direct->Params.size() &&
+        Direct->Params[I]->DeclType != Formal) {
+      forEachPointeePair(Actual, Direct->Params[I]->DeclType,
+                         [&](TypeNode *A, TypeNode *B) {
+                           linkDirected(A, B);
+                           if (BackFlow)
+                             linkDirected(B, A);
+                         });
     }
-    return;
-  }
-  case ExprKind::Unary:
-    return constrainExpr(F, cast<UnaryExpr>(E)->Sub);
-  case ExprKind::Binary: {
-    auto *Binary = cast<BinaryExpr>(E);
-    constrainExpr(F, Binary->Lhs);
-    constrainExpr(F, Binary->Rhs);
-    return;
-  }
-  case ExprKind::Member:
-    return constrainExpr(F, cast<MemberExpr>(E)->Base);
-  case ExprKind::Index: {
-    auto *Index = cast<IndexExpr>(E);
-    constrainExpr(F, Index->Base);
-    constrainExpr(F, Index->Idx);
-    return;
-  }
-  case ExprKind::Scast:
-    return constrainExpr(F, cast<ScastExpr>(E)->Src);
-  case ExprKind::New:
-    return constrainExpr(F, cast<NewExpr>(E)->Count);
-  default:
-    return;
   }
 }
 
 void SharingAnalysis::constrainStmt(FuncDecl *F, Stmt *S) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block:
-    for (Stmt *Child : cast<BlockStmt>(S)->Body)
-      constrainStmt(F, Child);
-    return;
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    constrainExpr(F, If->Cond);
-    constrainStmt(F, If->Then);
-    constrainStmt(F, If->Else);
-    return;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    constrainExpr(F, While->Cond);
-    constrainStmt(F, While->Body);
-    return;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    constrainStmt(F, For->Init);
-    constrainExpr(F, For->Cond);
-    constrainExpr(F, For->Step);
-    constrainStmt(F, For->Body);
-    return;
-  }
-  case StmtKind::Return: {
-    auto *Ret = cast<ReturnStmt>(S);
-    if (Ret->Value) {
-      constrainExpr(F, Ret->Value);
+  forEachChild(
+      S, [&](Stmt *Child) { constrainStmt(F, Child); },
+      [&](Expr *E) { constrainExpr(F, E); });
+  if (auto *Ret = dyn_cast<ReturnStmt>(S)) {
+    if (Ret->Value)
       linkAssignment(F->RetType, Ret->Value->ExprType, Ret->Value);
-    }
-    return;
-  }
-  case StmtKind::ExprStmt:
-    return constrainExpr(F, cast<ExprStmt>(S)->E);
-  case StmtKind::DeclStmt: {
-    auto *Decl = cast<DeclStmt>(S);
-    if (Decl->Init) {
-      constrainExpr(F, Decl->Init);
+  } else if (auto *Decl = dyn_cast<DeclStmt>(S)) {
+    if (Decl->Init)
       linkAssignment(Decl->Var->DeclType, Decl->Init->ExprType, Decl->Init);
+  } else if (auto *Spawn = dyn_cast<SpawnStmt>(S)) {
+    if (Spawn->Arg && Spawn->Callee && !Spawn->Callee->Params.empty() &&
+        !isa<NullLitExpr>(Spawn->Arg)) {
+      // The spawned object is shared on both sides of the handoff.
+      forEachPointeePair(Spawn->Arg->ExprType,
+                         Spawn->Callee->Params[0]->DeclType,
+                         [&](TypeNode *A, TypeNode *B) { linkEq(A, B); });
     }
-    return;
-  }
-  case StmtKind::Spawn: {
-    auto *Spawn = cast<SpawnStmt>(S);
-    if (Spawn->Arg) {
-      constrainExpr(F, Spawn->Arg);
-      if (Spawn->Callee && !Spawn->Callee->Params.empty() &&
-          !isa<NullLitExpr>(Spawn->Arg)) {
-        // The spawned object is shared on both sides of the handoff.
-        forEachPointeePair(Spawn->Arg->ExprType,
-                           Spawn->Callee->Params[0]->DeclType,
-                           [&](TypeNode *A, TypeNode *B) { linkEq(A, B); });
-      }
-    }
-    return;
-  }
-  case StmtKind::Free:
-    return constrainExpr(F, cast<FreeStmt>(S)->Ptr);
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
   }
 }
 

@@ -189,102 +189,27 @@ bool Checker::isLocalModified(const VarDecl *Var) const {
 
 namespace {
 
-/// Counts assignments to locals and parameters (declaration initializers
-/// and SCAST null-outs included).
-void collectModifiedLocals(Stmt *S,
-                           std::map<const VarDecl *, unsigned> &Out);
-
+/// Counts assignments to locals and parameters, declaration initializers
+/// included. A sharing cast nulls its source, but that does not disqualify
+/// the local as a lock expression: a nulled local cannot reach a guarded
+/// access afterwards (the live-after-cast check covers such uses).
 void collectModifiedLocalsExpr(Expr *E,
                                std::map<const VarDecl *, unsigned> &Out) {
-  if (!E)
-    return;
-  if (auto *Assign = dyn_cast<AssignExpr>(E)) {
+  if (auto *Assign = dyn_cast<AssignExpr>(E))
     if (auto *Name = dyn_cast<NameExpr>(Assign->Lhs))
       if (Name->Var && (Name->Var->Storage == StorageKind::Local ||
                         Name->Var->Storage == StorageKind::Param))
         ++Out[Name->Var];
-    collectModifiedLocalsExpr(Assign->Lhs, Out);
-    collectModifiedLocalsExpr(Assign->Rhs, Out);
-    return;
-  }
-  if (auto *Unary = dyn_cast<UnaryExpr>(E))
-    return collectModifiedLocalsExpr(Unary->Sub, Out);
-  if (auto *Binary = dyn_cast<BinaryExpr>(E)) {
-    collectModifiedLocalsExpr(Binary->Lhs, Out);
-    collectModifiedLocalsExpr(Binary->Rhs, Out);
-    return;
-  }
-  if (auto *Call = dyn_cast<CallExpr>(E)) {
-    collectModifiedLocalsExpr(Call->Callee, Out);
-    for (Expr *Arg : Call->Args)
-      collectModifiedLocalsExpr(Arg, Out);
-    return;
-  }
-  if (auto *Member = dyn_cast<MemberExpr>(E))
-    return collectModifiedLocalsExpr(Member->Base, Out);
-  if (auto *Index = dyn_cast<IndexExpr>(E)) {
-    collectModifiedLocalsExpr(Index->Base, Out);
-    collectModifiedLocalsExpr(Index->Idx, Out);
-    return;
-  }
-  if (auto *Scast = dyn_cast<ScastExpr>(E)) {
-    // A sharing cast nulls its source, but that does not disqualify the
-    // local as a lock expression: a nulled local cannot reach a guarded
-    // access afterwards (the live-after-cast check covers such uses).
-    return collectModifiedLocalsExpr(Scast->Src, Out);
-  }
-  if (auto *New = dyn_cast<NewExpr>(E))
-    return collectModifiedLocalsExpr(New->Count, Out);
+  forEachChild(E,
+               [&](Expr *Child) { collectModifiedLocalsExpr(Child, Out); });
 }
 
-void collectModifiedLocals(Stmt *S,
-                           std::map<const VarDecl *, unsigned> &Out) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block:
-    for (Stmt *Child : cast<BlockStmt>(S)->Body)
-      collectModifiedLocals(Child, Out);
-    return;
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    collectModifiedLocalsExpr(If->Cond, Out);
-    collectModifiedLocals(If->Then, Out);
-    collectModifiedLocals(If->Else, Out);
-    return;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    collectModifiedLocalsExpr(While->Cond, Out);
-    collectModifiedLocals(While->Body, Out);
-    return;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    collectModifiedLocals(For->Init, Out);
-    collectModifiedLocalsExpr(For->Cond, Out);
-    collectModifiedLocalsExpr(For->Step, Out);
-    collectModifiedLocals(For->Body, Out);
-    return;
-  }
-  case StmtKind::Return:
-    return collectModifiedLocalsExpr(cast<ReturnStmt>(S)->Value, Out);
-  case StmtKind::ExprStmt:
-    return collectModifiedLocalsExpr(cast<ExprStmt>(S)->E, Out);
-  case StmtKind::DeclStmt: {
-    auto *Decl = cast<DeclStmt>(S);
-    if (Decl->Init)
-      ++Out[Decl->Var]; // the initializer is the first assignment
-    return collectModifiedLocalsExpr(Decl->Init, Out);
-  }
-  case StmtKind::Spawn:
-    return collectModifiedLocalsExpr(cast<SpawnStmt>(S)->Arg, Out);
-  case StmtKind::Free:
-    return collectModifiedLocalsExpr(cast<FreeStmt>(S)->Ptr, Out);
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
-  }
+void collectModifiedLocals(Stmt *S, std::map<const VarDecl *, unsigned> &Out) {
+  if (auto *Decl = dyn_cast<DeclStmt>(S); Decl && Decl->Init)
+    ++Out[Decl->Var]; // the initializer is the first assignment
+  forEachChild(
+      S, [&](Stmt *Child) { collectModifiedLocals(Child, Out); },
+      [&](Expr *E) { collectModifiedLocalsExpr(E, Out); });
 }
 
 } // namespace
@@ -298,82 +223,30 @@ void Checker::checkFunc(FuncDecl *F) {
 }
 
 void Checker::checkStmt(Stmt *S) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block: {
-    auto *Block = cast<BlockStmt>(S);
-    for (Stmt *Child : Block->Body)
-      checkStmt(Child);
-    checkLiveAfterCast(Block);
-    return;
-  }
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    checkExpr(If->Cond);
-    checkStmt(If->Then);
-    checkStmt(If->Else);
-    return;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    checkExpr(While->Cond);
-    checkStmt(While->Body);
-    return;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    checkStmt(For->Init);
-    if (For->Cond)
-      checkExpr(For->Cond);
-    if (For->Step)
-      checkExpr(For->Step);
-    checkStmt(For->Body);
-    return;
-  }
-  case StmtKind::Return: {
-    auto *Ret = cast<ReturnStmt>(S);
-    if (Ret->Value) {
-      checkExpr(Ret->Value);
-      if (CurrentFunc && CurrentFunc->RetType)
-        checkAssignCompat(CurrentFunc->RetType, Ret->Value->ExprType,
-                          Ret->Value, Ret->Loc, "return value");
-    }
-    return;
-  }
-  case StmtKind::ExprStmt:
-    return checkExpr(cast<ExprStmt>(S)->E);
-  case StmtKind::DeclStmt: {
-    auto *Decl = cast<DeclStmt>(S);
+  // A declaration's type is checked before its initializer.
+  auto *Decl = dyn_cast<DeclStmt>(S);
+  if (Decl)
     checkWellFormedType(Decl->Var->DeclType, Decl->Var->Loc);
-    if (Decl->Init) {
-      checkExpr(Decl->Init);
-      checkAssignCompat(Decl->Var->DeclType, Decl->Init->ExprType,
-                        Decl->Init, Decl->Loc, "initializer");
-    }
-    return;
-  }
-  case StmtKind::Spawn: {
-    auto *Spawn = cast<SpawnStmt>(S);
-    if (Spawn->Arg) {
-      checkExpr(Spawn->Arg);
-      if (Spawn->Callee && !Spawn->Callee->Params.empty())
-        checkAssignCompat(Spawn->Callee->Params[0]->DeclType,
-                          Spawn->Arg->ExprType, Spawn->Arg, Spawn->Loc,
-                          "spawn argument");
-    }
-    return;
-  }
-  case StmtKind::Free: {
-    auto *Free = cast<FreeStmt>(S);
-    checkExpr(Free->Ptr);
+  forEachChild(
+      S, [&](Stmt *Child) { checkStmt(Child); },
+      [&](Expr *E) { checkExpr(E); });
+  if (auto *Block = dyn_cast<BlockStmt>(S)) {
+    checkLiveAfterCast(Block);
+  } else if (auto *Ret = dyn_cast<ReturnStmt>(S)) {
+    if (Ret->Value && CurrentFunc && CurrentFunc->RetType)
+      checkAssignCompat(CurrentFunc->RetType, Ret->Value->ExprType,
+                        Ret->Value, Ret->Loc, "return value");
+  } else if (Decl && Decl->Init) {
+    checkAssignCompat(Decl->Var->DeclType, Decl->Init->ExprType, Decl->Init,
+                      Decl->Loc, "initializer");
+  } else if (auto *Spawn = dyn_cast<SpawnStmt>(S)) {
+    if (Spawn->Arg && Spawn->Callee && !Spawn->Callee->Params.empty())
+      checkAssignCompat(Spawn->Callee->Params[0]->DeclType,
+                        Spawn->Arg->ExprType, Spawn->Arg, Spawn->Loc,
+                        "spawn argument");
+  } else if (auto *Free = dyn_cast<FreeStmt>(S)) {
     if (Free->Ptr->ExprType && !Free->Ptr->ExprType->isPointer())
       Diags.error(Free->Loc, "free() requires a pointer");
-    return;
-  }
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
   }
 }
 
@@ -705,39 +578,17 @@ namespace {
 
 /// \returns true if \p E reads \p Var (ignoring positions where Var is the
 /// direct target of an assignment).
-bool readsVar(const Expr *E, const VarDecl *Var) {
-  if (!E)
-    return false;
+bool readsVar(Expr *E, const VarDecl *Var) {
   if (auto *Name = dyn_cast<NameExpr>(E))
     return Name->Var == Var;
-  if (auto *Unary = dyn_cast<UnaryExpr>(E))
-    return readsVar(Unary->Sub, Var);
-  if (auto *Binary = dyn_cast<BinaryExpr>(E))
-    return readsVar(Binary->Lhs, Var) || readsVar(Binary->Rhs, Var);
-  if (auto *Assign = dyn_cast<AssignExpr>(E)) {
-    bool LhsIsVar = false;
-    if (auto *Name = dyn_cast<NameExpr>(Assign->Lhs))
-      LhsIsVar = Name->Var == Var;
-    return (!LhsIsVar && readsVar(Assign->Lhs, Var)) ||
-           readsVar(Assign->Rhs, Var);
-  }
-  if (auto *Call = dyn_cast<CallExpr>(E)) {
-    if (readsVar(Call->Callee, Var))
-      return true;
-    for (const Expr *Arg : Call->Args)
-      if (readsVar(Arg, Var))
-        return true;
-    return false;
-  }
-  if (auto *Member = dyn_cast<MemberExpr>(E))
-    return readsVar(Member->Base, Var);
-  if (auto *Index = dyn_cast<IndexExpr>(E))
-    return readsVar(Index->Base, Var) || readsVar(Index->Idx, Var);
-  if (auto *Scast = dyn_cast<ScastExpr>(E))
-    return readsVar(Scast->Src, Var);
-  if (auto *New = dyn_cast<NewExpr>(E))
-    return readsVar(New->Count, Var);
-  return false;
+  // A plain-name assignment target is written, not read.
+  auto *Assign = dyn_cast<AssignExpr>(E);
+  bool Reads = false;
+  forEachChild(E, [&](Expr *Child) {
+    if (!(Assign && Child == Assign->Lhs && isa<NameExpr>(Child)))
+      Reads = Reads || readsVar(Child, Var);
+  });
+  return Reads;
 }
 
 /// \returns true if \p S definitely assigns \p Var at its top level.
@@ -774,43 +625,12 @@ const VarDecl *castNulledVar(const Stmt *S) {
 }
 
 /// \returns true if \p S reads \p Var anywhere.
-bool stmtReadsVar(const Stmt *S, const VarDecl *Var) {
-  if (!S)
-    return false;
-  switch (S->Kind) {
-  case StmtKind::Block: {
-    for (const Stmt *Child : cast<BlockStmt>(S)->Body)
-      if (stmtReadsVar(Child, Var))
-        return true;
-    return false;
-  }
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    return readsVar(If->Cond, Var) || stmtReadsVar(If->Then, Var) ||
-           stmtReadsVar(If->Else, Var);
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    return readsVar(While->Cond, Var) || stmtReadsVar(While->Body, Var);
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    return stmtReadsVar(For->Init, Var) || readsVar(For->Cond, Var) ||
-           readsVar(For->Step, Var) || stmtReadsVar(For->Body, Var);
-  }
-  case StmtKind::Return:
-    return readsVar(cast<ReturnStmt>(S)->Value, Var);
-  case StmtKind::ExprStmt:
-    return readsVar(cast<ExprStmt>(S)->E, Var);
-  case StmtKind::DeclStmt:
-    return readsVar(cast<DeclStmt>(S)->Init, Var);
-  case StmtKind::Spawn:
-    return readsVar(cast<SpawnStmt>(S)->Arg, Var);
-  case StmtKind::Free:
-    return readsVar(cast<FreeStmt>(S)->Ptr, Var);
-  default:
-    return false;
-  }
+bool stmtReadsVar(Stmt *S, const VarDecl *Var) {
+  bool Reads = false;
+  forEachChild(
+      S, [&](Stmt *Child) { Reads = Reads || stmtReadsVar(Child, Var); },
+      [&](Expr *E) { Reads = Reads || readsVar(E, Var); });
+  return Reads;
 }
 
 } // namespace

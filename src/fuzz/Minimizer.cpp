@@ -29,31 +29,10 @@ struct Site {
 };
 
 void collectBlocks(Stmt *S, std::vector<BlockStmt *> &Blocks) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block: {
-    auto *B = static_cast<BlockStmt *>(S);
+  if (auto *B = dyn_cast<BlockStmt>(S))
     Blocks.push_back(B);
-    for (Stmt *Child : B->Body)
-      collectBlocks(Child, Blocks);
-    break;
-  }
-  case StmtKind::If: {
-    auto *If = static_cast<IfStmt *>(S);
-    collectBlocks(If->Then, Blocks);
-    collectBlocks(If->Else, Blocks);
-    break;
-  }
-  case StmtKind::While:
-    collectBlocks(static_cast<WhileStmt *>(S)->Body, Blocks);
-    break;
-  case StmtKind::For:
-    collectBlocks(static_cast<ForStmt *>(S)->Body, Blocks);
-    break;
-  default:
-    break;
-  }
+  forEachChild(
+      S, [&](Stmt *Child) { collectBlocks(Child, Blocks); }, [](Expr *) {});
 }
 
 std::vector<Site> collectSites(Program &Prog) {

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// AST for MiniC: expressions, statements, declarations, and the
-/// ASTContext arena that owns every node. Nodes use LLVM-style kind tags
-/// with classof() for dyn_cast-style dispatch via llvm-free helpers
+/// AST for MiniC: expressions, statements, the child walker the passes
+/// recurse through, declarations, and the ASTContext arena that owns
+/// every node. Nodes use LLVM-style kind tags with classof() for
+/// dyn_cast-style dispatch via llvm-free helpers
 /// (sharc::minic::isa/cast/dyn_cast below).
 ///
 //===----------------------------------------------------------------------===//
@@ -417,6 +418,130 @@ public:
   explicit ContinueStmt(SourceLoc Loc) : Stmt(StmtKind::Continue, Loc) {}
   static bool classof(const Stmt *S) { return S->Kind == StmtKind::Continue; }
 };
+
+//===----------------------------------------------------------------------===//
+// Child walker
+//===----------------------------------------------------------------------===//
+//
+// The one list of each node kind's children. A pass whose job is only to
+// reach nodes recurses through forEachChild and keeps just its per-kind
+// actions; a pass that interprets each kind (typing an expression,
+// checking an access, printing, running) keeps its own switch. The
+// switches below have no default, so -Wswitch flags a new kind here.
+
+/// Calls \p Fn(Expr *) on each child of \p E in evaluation and source
+/// order: a call's callee, then its arguments; an index's base, then the
+/// index. An absent `new` count is skipped.
+template <typename FnT> void forEachChild(Expr *E, FnT &&Fn) {
+  switch (E->Kind) {
+  case ExprKind::IntLit:
+  case ExprKind::BoolLit:
+  case ExprKind::StrLit:
+  case ExprKind::NullLit:
+  case ExprKind::Name:
+  case ExprKind::Sizeof:
+    return;
+  case ExprKind::Unary:
+    Fn(cast<UnaryExpr>(E)->Sub);
+    return;
+  case ExprKind::Binary: {
+    auto *Binary = cast<BinaryExpr>(E);
+    Fn(Binary->Lhs);
+    Fn(Binary->Rhs);
+    return;
+  }
+  case ExprKind::Assign: {
+    auto *Assign = cast<AssignExpr>(E);
+    Fn(Assign->Lhs);
+    Fn(Assign->Rhs);
+    return;
+  }
+  case ExprKind::Call: {
+    auto *Call = cast<CallExpr>(E);
+    Fn(Call->Callee);
+    for (Expr *Arg : Call->Args)
+      Fn(Arg);
+    return;
+  }
+  case ExprKind::Member:
+    Fn(cast<MemberExpr>(E)->Base);
+    return;
+  case ExprKind::Index: {
+    auto *Index = cast<IndexExpr>(E);
+    Fn(Index->Base);
+    Fn(Index->Idx);
+    return;
+  }
+  case ExprKind::Scast:
+    Fn(cast<ScastExpr>(E)->Src);
+    return;
+  case ExprKind::New:
+    if (Expr *Count = cast<NewExpr>(E)->Count)
+      Fn(Count);
+    return;
+  }
+}
+
+/// Calls \p OnStmt(Stmt *) on each child statement and \p OnExpr(Expr *)
+/// on each child expression of \p S, in source order: a `for` loop's
+/// init, condition, step, then body. Absent children (an else branch, a
+/// `for` loop's init, condition or step, a return value, a declaration's
+/// initializer, a spawn argument) are skipped.
+template <typename OnStmtT, typename OnExprT>
+void forEachChild(Stmt *S, OnStmtT &&OnStmt, OnExprT &&OnExpr) {
+  switch (S->Kind) {
+  case StmtKind::Block:
+    for (Stmt *Child : cast<BlockStmt>(S)->Body)
+      OnStmt(Child);
+    return;
+  case StmtKind::If: {
+    auto *If = cast<IfStmt>(S);
+    OnExpr(If->Cond);
+    OnStmt(If->Then);
+    if (If->Else)
+      OnStmt(If->Else);
+    return;
+  }
+  case StmtKind::While: {
+    auto *While = cast<WhileStmt>(S);
+    OnExpr(While->Cond);
+    OnStmt(While->Body);
+    return;
+  }
+  case StmtKind::For: {
+    auto *For = cast<ForStmt>(S);
+    if (For->Init)
+      OnStmt(For->Init);
+    if (For->Cond)
+      OnExpr(For->Cond);
+    if (For->Step)
+      OnExpr(For->Step);
+    OnStmt(For->Body);
+    return;
+  }
+  case StmtKind::Return:
+    if (Expr *Value = cast<ReturnStmt>(S)->Value)
+      OnExpr(Value);
+    return;
+  case StmtKind::ExprStmt:
+    OnExpr(cast<ExprStmt>(S)->E);
+    return;
+  case StmtKind::DeclStmt:
+    if (Expr *Init = cast<DeclStmt>(S)->Init)
+      OnExpr(Init);
+    return;
+  case StmtKind::Spawn:
+    if (Expr *Arg = cast<SpawnStmt>(S)->Arg)
+      OnExpr(Arg);
+    return;
+  case StmtKind::Free:
+    OnExpr(cast<FreeStmt>(S)->Ptr);
+    return;
+  case StmtKind::Break:
+  case StmtKind::Continue:
+    return;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Declarations

@@ -21,7 +21,7 @@ bool ExprTyper::run() {
   unsigned ErrorsBefore = Diags.getNumErrors();
   for (FuncDecl *F : Prog.Funcs)
     if (F->Body)
-      typeStmt(F->Body, F);
+      typeStmt(F->Body);
   // Lock expressions live inside type qualifiers; type them too so field
   // references resolve (locked(s->mut) must know which field mut is).
   Prog.Context.forEachType([&](TypeNode *T) {
@@ -32,68 +32,13 @@ bool ExprTyper::run() {
   return Diags.getNumErrors() == ErrorsBefore;
 }
 
-void ExprTyper::typeStmt(Stmt *S, FuncDecl *F) {
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block:
-    for (Stmt *Child : cast<BlockStmt>(S)->Body)
-      typeStmt(Child, F);
-    return;
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    typeExpr(If->Cond);
-    typeStmt(If->Then, F);
-    typeStmt(If->Else, F);
-    return;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    typeExpr(While->Cond);
-    typeStmt(While->Body, F);
-    return;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    typeStmt(For->Init, F);
-    if (For->Cond)
-      typeExpr(For->Cond);
-    if (For->Step)
-      typeExpr(For->Step);
-    typeStmt(For->Body, F);
-    return;
-  }
-  case StmtKind::Return: {
-    auto *Ret = cast<ReturnStmt>(S);
-    if (Ret->Value)
-      typeExpr(Ret->Value);
-    return;
-  }
-  case StmtKind::ExprStmt:
-    typeExpr(cast<ExprStmt>(S)->E);
-    return;
-  case StmtKind::DeclStmt: {
-    auto *Decl = cast<DeclStmt>(S);
-    if (Decl->Init)
-      typeExpr(Decl->Init);
-    return;
-  }
-  case StmtKind::Spawn: {
-    auto *Spawn = cast<SpawnStmt>(S);
-    if (Spawn->Arg)
-      typeExpr(Spawn->Arg);
+void ExprTyper::typeStmt(Stmt *S) {
+  forEachChild(
+      S, [&](Stmt *Child) { typeStmt(Child); }, [&](Expr *E) { typeExpr(E); });
+  if (auto *Spawn = dyn_cast<SpawnStmt>(S))
     if (Spawn->Callee && Spawn->Arg && Spawn->Callee->Params.empty())
       Diags.error(Spawn->Loc, "spawned function '" + Spawn->CalleeName +
                                   "' takes no argument");
-    return;
-  }
-  case StmtKind::Free:
-    typeExpr(cast<FreeStmt>(S)->Ptr);
-    return;
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
-  }
 }
 
 TypeNode *ExprTyper::typeExpr(Expr *E) {

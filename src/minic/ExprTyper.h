@@ -41,7 +41,7 @@ public:
   TypeNode *typeExpr(Expr *E);
 
 private:
-  void typeStmt(Stmt *S, FuncDecl *F);
+  void typeStmt(Stmt *S);
 
   TypeNode *freshInt(SourceLoc Loc);
   TypeNode *freshBool(SourceLoc Loc);

@@ -231,100 +231,17 @@ int checkJsonFiles(int Argc, char **Argv, int First,
 // Advisor validation: re-run the static pipeline with a suggestion applied
 //===----------------------------------------------------------------------===//
 
-/// Visits every expression (including subexpressions) reachable from the
-/// program's function bodies. The AST has no generic walker — the only
-/// existing traversal is ASTContext::forEachType — so the advisor brings
-/// its own.
+/// Visits every expression (including subexpressions) reachable from a
+/// function body, each before its children.
 template <typename FnT> void forEachExpr(minic::Expr *E, FnT &Fn) {
-  using namespace minic;
-  if (!E)
-    return;
   Fn(E);
-  switch (E->Kind) {
-  case ExprKind::Unary:
-    forEachExpr(cast<UnaryExpr>(E)->Sub, Fn);
-    break;
-  case ExprKind::Binary:
-    forEachExpr(cast<BinaryExpr>(E)->Lhs, Fn);
-    forEachExpr(cast<BinaryExpr>(E)->Rhs, Fn);
-    break;
-  case ExprKind::Assign:
-    forEachExpr(cast<AssignExpr>(E)->Lhs, Fn);
-    forEachExpr(cast<AssignExpr>(E)->Rhs, Fn);
-    break;
-  case ExprKind::Call: {
-    auto *Call = cast<CallExpr>(E);
-    forEachExpr(Call->Callee, Fn);
-    for (Expr *Arg : Call->Args)
-      forEachExpr(Arg, Fn);
-    break;
-  }
-  case ExprKind::Member:
-    forEachExpr(cast<MemberExpr>(E)->Base, Fn);
-    break;
-  case ExprKind::Index:
-    forEachExpr(cast<IndexExpr>(E)->Base, Fn);
-    forEachExpr(cast<IndexExpr>(E)->Idx, Fn);
-    break;
-  case ExprKind::Scast:
-    forEachExpr(cast<ScastExpr>(E)->Src, Fn);
-    break;
-  case ExprKind::New:
-    forEachExpr(cast<NewExpr>(E)->Count, Fn);
-    break;
-  default:
-    break;
-  }
+  minic::forEachChild(E, [&](minic::Expr *Child) { forEachExpr(Child, Fn); });
 }
 
 template <typename FnT> void forEachExprInStmt(minic::Stmt *S, FnT &Fn) {
-  using namespace minic;
-  if (!S)
-    return;
-  switch (S->Kind) {
-  case StmtKind::Block:
-    for (Stmt *Sub : cast<BlockStmt>(S)->Body)
-      forEachExprInStmt(Sub, Fn);
-    break;
-  case StmtKind::If: {
-    auto *If = cast<IfStmt>(S);
-    forEachExpr(If->Cond, Fn);
-    forEachExprInStmt(If->Then, Fn);
-    forEachExprInStmt(If->Else, Fn);
-    break;
-  }
-  case StmtKind::While: {
-    auto *While = cast<WhileStmt>(S);
-    forEachExpr(While->Cond, Fn);
-    forEachExprInStmt(While->Body, Fn);
-    break;
-  }
-  case StmtKind::For: {
-    auto *For = cast<ForStmt>(S);
-    forEachExprInStmt(For->Init, Fn);
-    forEachExpr(For->Cond, Fn);
-    forEachExpr(For->Step, Fn);
-    forEachExprInStmt(For->Body, Fn);
-    break;
-  }
-  case StmtKind::Return:
-    forEachExpr(cast<ReturnStmt>(S)->Value, Fn);
-    break;
-  case StmtKind::ExprStmt:
-    forEachExpr(cast<ExprStmt>(S)->E, Fn);
-    break;
-  case StmtKind::DeclStmt:
-    forEachExpr(cast<DeclStmt>(S)->Init, Fn);
-    break;
-  case StmtKind::Spawn:
-    forEachExpr(cast<SpawnStmt>(S)->Arg, Fn);
-    break;
-  case StmtKind::Free:
-    forEachExpr(cast<FreeStmt>(S)->Ptr, Fn);
-    break;
-  default:
-    break;
-  }
+  minic::forEachChild(
+      S, [&](minic::Stmt *Child) { forEachExprInStmt(Child, Fn); },
+      [&](minic::Expr *E) { forEachExpr(E, Fn); });
 }
 
 enum class Verdict {
@@ -371,7 +288,8 @@ Verdict validateMakePrivate(const obs::Suggestion &S, const char *SourcePath,
       Positions.push_back(E->ExprType);
   };
   for (minic::FuncDecl *F : Prog->Funcs)
-    forEachExprInStmt(F->Body, Match);
+    if (F->Body) // builtins have none
+      forEachExprInStmt(F->Body, Match);
   if (Positions.empty()) {
     Detail = "site not found in source";
     return Verdict::SiteNotFound;

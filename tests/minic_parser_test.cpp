@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace sharc;
 using namespace sharc::minic;
 
@@ -317,4 +319,100 @@ TEST(ParserTest, SpellingRoundTrip) {
   FuncDecl *F = R->Prog->findFunc("f");
   auto *ES = dyn_cast<ExprStmt>(F->Body->Body[0]);
   EXPECT_EQ(ES->E->spelling(), "p->x = p->x + 1");
+}
+
+//===----------------------------------------------------------------------===//
+// Child walker
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Records each node as "Kind@line", parents before children.
+struct WalkLog {
+  std::vector<std::string> Seen;
+
+  void stmt(Stmt *S) {
+    static const char *const Names[] = {
+        "Block",    "If",    "While", "For",   "Return",  "ExprStmt",
+        "DeclStmt", "Spawn", "Free",  "Break", "Continue"};
+    static_assert(std::size(Names) == size_t(StmtKind::Continue) + 1);
+    Seen.push_back(std::string(Names[size_t(S->Kind)]) + "@" +
+                   std::to_string(S->Loc.Line));
+    forEachChild(
+        S, [&](Stmt *Child) { stmt(Child); }, [&](Expr *E) { expr(E); });
+  }
+
+  void expr(Expr *E) {
+    static const char *const Names[] = {
+        "IntLit", "BoolLit", "StrLit", "NullLit", "Name",  "Unary", "Binary",
+        "Assign", "Call",    "Member", "Index",   "Scast", "New",   "Sizeof"};
+    static_assert(std::size(Names) == size_t(ExprKind::Sizeof) + 1);
+    Seen.push_back(std::string(Names[size_t(E->Kind)]) + "@" +
+                   std::to_string(E->Loc.Line));
+    forEachChild(E, [&](Expr *Child) { expr(Child); });
+  }
+};
+
+} // namespace
+
+TEST(ParserTest, ForEachChildVisitsEveryChildInSourceOrder) {
+  // Every statement and expression kind, each optional child both present
+  // and absent. Siblings differ in kind or line, so a dropped, added or
+  // reordered child changes the visit sequence.
+  auto R = parse("struct s { int f; };\n"                 // 1
+                 "int g;\n"                               // 2
+                 "void t(int *p) { }\n"                   // 3
+                 "void u(void) { }\n"                     // 4
+                 "int h(int a) {\n"                       // 5
+                 "  int x;\n"                             // 6
+                 "  int *q = new int[a];\n"               // 7
+                 "  struct s *r = new struct s;\n"        // 8
+                 "  if (!x) {\n"                          // 9
+                 "    x = -1;\n"                          // 10
+                 "  } else\n"                             // 11
+                 "    g = x + 2;\n"                       // 12
+                 "  if (true) r->f = sizeof(int);\n"      // 13
+                 "  while (q[0] < 3) {\n"                 // 14
+                 "    break;\n"                           // 15
+                 "  }\n"                                  // 16
+                 "  for (int i = 0; i < a; i = i + 1) continue;\n" // 17
+                 "  for (;;) { return; }\n"               // 18
+                 "  spawn t(SCAST(int *, q));\n"          // 19
+                 "  spawn u();\n"                         // 20
+                 "  free(q);\n"                           // 21
+                 "  (*r).f = h(g, \"s\");\n"              // 22
+                 "  q = null;\n"                          // 23
+                 "  return x;\n"                          // 24
+                 "}\n");
+  ASSERT_FALSE(R->Diags->hasErrors()) << R->Diags->render();
+  WalkLog Log;
+  for (FuncDecl *F : R->Prog->Funcs)
+    if (F->Body)
+      Log.stmt(F->Body);
+  const std::vector<std::string> Expected = {
+      "Block@3", "Block@4", "Block@5",
+      "DeclStmt@6",
+      "DeclStmt@7", "New@7", "Name@7",
+      "DeclStmt@8", "New@8",
+      "If@9", "Unary@9", "Name@9",
+      "Block@9", "ExprStmt@10", "Assign@10", "Name@10", "Unary@10",
+      "IntLit@10",
+      "ExprStmt@12", "Assign@12", "Name@12", "Binary@12", "Name@12",
+      "IntLit@12",
+      "If@13", "BoolLit@13", "ExprStmt@13", "Assign@13", "Member@13",
+      "Name@13", "Sizeof@13",
+      "While@14", "Binary@14", "Index@14", "Name@14", "IntLit@14",
+      "IntLit@14", "Block@14", "Break@15",
+      "For@17", "DeclStmt@17", "IntLit@17", "Binary@17", "Name@17",
+      "Name@17", "Assign@17", "Name@17", "Binary@17", "Name@17",
+      "IntLit@17", "Continue@17",
+      "For@18", "Block@18", "Return@18",
+      "Spawn@19", "Scast@19", "Name@19",
+      "Spawn@20",
+      "Free@21", "Name@21",
+      "ExprStmt@22", "Assign@22", "Member@22", "Unary@22", "Name@22",
+      "Call@22", "Name@22", "Name@22", "StrLit@22",
+      "ExprStmt@23", "Assign@23", "Name@23", "NullLit@23",
+      "Return@24", "Name@24"};
+  EXPECT_EQ(Log.Seen, Expected);
 }
