@@ -294,7 +294,7 @@ public:
         Parent >= 0 ? Nodes[Parent].PreemptionsBefore +
                           preemptCost(Nodes[Parent], Nodes[Parent].Pick)
                     : 0;
-    if (Opts.UseSleepSets && Parent >= 0) {
+    if (Opts.UseDpor && Parent >= 0) {
       // Godefroid sleep inheritance: after executing the parent's
       // step, only sleepers independent of it stay asleep.
       for (const auto &[Tid, Fp] : Nodes[Parent].Sleep)
@@ -396,7 +396,7 @@ public:
     while (!Nodes.empty()) {
       Node &N = Nodes.back();
       N.Done |= bit(indexOf(N.Enabled, N.Pick));
-      if (N.Kind == ChoiceKind::ThreadPick && Opts.UseSleepSets)
+      if (N.Kind == ChoiceKind::ThreadPick && Opts.UseDpor)
         N.Sleep.add(N.Pick, N.Fp);
       size_t Next = N.Enabled.size();
       for (size_t P = 0; P != N.Enabled.size(); ++P) {
@@ -406,7 +406,7 @@ public:
         if (N.Kind == ChoiceKind::ThreadPick) {
           if (Opts.UseDpor && !(N.Backtrack & bit(P)))
             continue;
-          if (Opts.UseSleepSets && asleep(N, T))
+          if (Opts.UseDpor && asleep(N, T))
             continue;
           if (N.PreemptionsBefore + preemptCost(N, T) >
               Opts.PreemptionBound) {

@@ -48,12 +48,10 @@ struct ExploreOptions {
   uint64_t MaxStepsPerRun = 1u << 16;
   /// Total step budget across the whole exploration.
   uint64_t MaxTotalSteps = uint64_t(1) << 24;
-  /// Dynamic partial-order reduction: only branch where conflicting
-  /// steps justify it. Off = full enumeration of every enabled pick at
-  /// every state (the litmus tests pin its exact counts).
+  /// Dynamic partial-order reduction with sleep sets: only branch where
+  /// conflicting steps justify it. Off = full enumeration of every
+  /// enabled pick at every state (the litmus tests pin its exact counts).
   bool UseDpor = true;
-  /// Sleep sets (only meaningful with UseDpor).
-  bool UseSleepSets = true;
   std::string EntryPoint = "main";
 };
 

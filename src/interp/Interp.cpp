@@ -174,10 +174,11 @@ struct ThreadCtx {
   uint64_t BlockStartStep = 0;
 };
 
-/// One lock's state: the exclusive holder's tid (0 when none) and the
-/// number of shared holds.
+/// One lock's state: the exclusive holder (null when none) and the
+/// number of shared holds. A thread's context lives for the whole run,
+/// so unlike its recycled tid it never names another thread.
 struct LockState {
-  unsigned Owner = 0;
+  const ThreadCtx *Owner = nullptr;
   unsigned Readers = 0;
 };
 
@@ -227,9 +228,8 @@ private:
   /// must retry.
   bool acquire(ThreadCtx &T, Addr Lock, bool Shared, uint32_t Line);
   /// Drops T's newest hold of Lock in the given mode and wakes the
-  /// lock's waiters once no shared holder is left. An exclusive release
-  /// requires T to be the owner, a shared one a shared hold; otherwise
-  /// it reports Misuse at Call, fails T and \returns false.
+  /// lock's waiters once no shared holder is left. Without a hold in
+  /// that mode it reports Misuse at Call, fails T and \returns false.
   bool release(ThreadCtx &T, Addr Lock, bool Shared, const CallExpr *Call,
                const char *Misuse);
   void wakeLockWaiters(Addr Lock);
@@ -268,21 +268,22 @@ private:
       Options.Sink->event(obs::Event{K, T.TraceTid, A, V, 0});
   }
 
-  /// Records a runtime error of the machine itself, which no thread
+  /// Records a runtime error of the machine, which no thread's code
   /// caused: a refused global, a missing entry point, a deadlock, the
-  /// step budget.
-  void machineError(std::string Detail) {
+  /// step budget, or a spawn past the thread limit. T is the thread the
+  /// Conflict event names (the refused spawn), null for the machine.
+  void machineError(const ThreadCtx *T, std::string Detail) {
     Violation V;
     V.K = Violation::Kind::RuntimeError;
     V.Detail = std::move(Detail);
     ++Result.TotalViolations;
     Result.Violations.push_back(std::move(V));
-    emitConflict(Result.Violations.back(), nullptr);
+    emitConflict(Result.Violations.back(), T);
   }
 
   /// Publishes a Conflict event for a just-recorded violation. Null T
-  /// means the machine itself (thread limit, deadlock, step budget);
-  /// those carry tid 0.
+  /// means the machine itself (deadlock, step budget); those carry
+  /// tid 0.
   void emitConflict(const Violation &V, const ThreadCtx *T) {
     if (!Options.Sink)
       return;
@@ -1091,7 +1092,7 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
     Addr Lock = static_cast<Addr>(Args[0]);
     // Only mutex_lock reports a recursive acquire; a recursive
     // rwlock_wrlock blocks on itself.
-    if (Name == "mutex_lock" && Locks[Lock].Owner == T.Tid) {
+    if (Name == "mutex_lock" && Locks[Lock].Owner == &T) {
       report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
              "recursive lock acquisition");
       T.State = ThreadCtx::St::Failed;
@@ -1295,12 +1296,8 @@ ThreadCtx &Machine::spawnThread(const FuncDecl *F, int64_t Arg, bool HasArg) {
   T.TraceTid = NextTraceTid++;
   ++Result.Stats.ThreadsSpawned;
   if (T.Tid == 0) {
-    Violation V;
-    V.K = Violation::Kind::RuntimeError;
-    V.Detail = "thread limit (" + std::to_string(MaxLiveThreads) +
-               " concurrent) exceeded";
-    Result.Violations.push_back(V);
-    emitConflict(Result.Violations.back(), &T);
+    machineError(&T, "thread limit (" + std::to_string(MaxLiveThreads) +
+                         " concurrent) exceeded");
     T.State = ThreadCtx::St::Failed;
     return T;
   }
@@ -1339,7 +1336,7 @@ void Machine::threadExit(ThreadCtx &T) {
 
 bool Machine::acquire(ThreadCtx &T, Addr Lock, bool Shared, uint32_t Line) {
   LockState &L = Locks[Lock];
-  if (L.Owner != 0 || (!Shared && L.Readers != 0)) {
+  if (L.Owner || (!Shared && L.Readers != 0)) {
     T.State = ThreadCtx::St::BlockedLock;
     T.BlockLock = Lock;
     schedNote(SchedNote::BlockedLock, T, Lock);
@@ -1349,7 +1346,7 @@ bool Machine::acquire(ThreadCtx &T, Addr Lock, bool Shared, uint32_t Line) {
   if (Shared)
     ++L.Readers;
   else
-    L.Owner = T.Tid;
+    L.Owner = &T;
   T.Holds.push_back({Lock, Shared, Result.Stats.Steps, Line});
   emit(obs::EventKind::LockAcquire, T, Lock);
   profLockAcquired(T, Lock, Line);
@@ -1363,7 +1360,7 @@ bool Machine::release(ThreadCtx &T, Addr Lock, bool Shared,
                            [&](const ThreadCtx::LockHold &H) {
                              return H.Lock == Lock && H.Shared == Shared;
                            });
-  if (Shared ? Hold == T.Holds.rend() : L.Owner != T.Tid) {
+  if (Hold == T.Holds.rend()) {
     report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr, Misuse);
     T.State = ThreadCtx::St::Failed;
     return false;
@@ -1371,13 +1368,9 @@ bool Machine::release(ThreadCtx &T, Addr Lock, bool Shared,
   if (Shared)
     --L.Readers;
   else
-    L.Owner = 0;
-  // An exclusive release checks the owner tid, so it also frees a lock
-  // whose holder exited and left its tid to T.
-  if (Hold != T.Holds.rend()) {
-    profLockReleased(T, *Hold);
-    T.Holds.erase(std::next(Hold).base());
-  }
+    L.Owner = nullptr;
+  profLockReleased(T, *Hold);
+  T.Holds.erase(std::next(Hold).base());
   emit(obs::EventKind::LockRelease, T, Lock);
   if (L.Readers == 0)
     wakeLockWaiters(Lock);
@@ -1693,9 +1686,9 @@ InterpResult Machine::runImpl() {
   for (VarDecl *G : Prog.Globals) {
     Addr A = alloc(sizeInCells(G->DeclType));
     if (A == 0) {
-      machineError("global '" + G->Name +
-                   "' is past the interpreter's limit of " +
-                   std::to_string(MaxCells) + " cells");
+      machineError(nullptr, "global '" + G->Name +
+                                "' is past the interpreter's limit of " +
+                                std::to_string(MaxCells) + " cells");
       return std::move(Result);
     }
     Globals[G] = A;
@@ -1707,7 +1700,7 @@ InterpResult Machine::runImpl() {
   if (!Entry)
     Entry = Prog.findFunc("main_fn");
   if (!Entry || !Entry->Body) {
-    machineError("no entry point '" + Options.EntryPoint + "'");
+    machineError(nullptr, "no entry point '" + Options.EntryPoint + "'");
     return std::move(Result);
   }
   ThreadCtx &Main = spawnThread(Entry, 0, false);
@@ -1747,14 +1740,19 @@ InterpResult Machine::runImpl() {
             D += "; tid " + std::to_string(T->Tid) + " waits on lock " +
                  std::to_string(T->BlockLock);
             auto Holder = Locks.find(T->BlockLock);
-            if (Holder != Locks.end())
-              D += " held by tid " + std::to_string(Holder->second.Owner);
+            if (Holder != Locks.end()) {
+              // An exited holder's tid may be a waiter's by now.
+              const ThreadCtx *Owner = Holder->second.Owner;
+              D += " held by tid " + std::to_string(Owner ? Owner->Tid : 0);
+              if (Owner && Owner->State == ThreadCtx::St::Done)
+                D += " (exited)";
+            }
           } else if (T->State == ThreadCtx::St::WaitingCond) {
             D += "; tid " + std::to_string(T->Tid) + " waits on cond " +
                  std::to_string(T->WaitCond);
           }
         }
-        machineError(std::move(D));
+        machineError(nullptr, std::move(D));
       }
       return std::move(Result);
     }
@@ -1791,7 +1789,7 @@ InterpResult Machine::runImpl() {
     }
   }
   Result.OutOfSteps = true;
-  machineError("step budget exhausted (possible livelock)");
+  machineError(nullptr, "step budget exhausted (possible livelock)");
   return std::move(Result);
 }
 

@@ -71,7 +71,6 @@ ExploreResult exploreSrc(Compiled &C, const ExploreOptions &Opts) {
 ExploreOptions fullEnum() {
   ExploreOptions O;
   O.UseDpor = false;
-  O.UseSleepSets = false;
   return O;
 }
 

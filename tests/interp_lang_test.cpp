@@ -285,28 +285,34 @@ TEST(LangTest, GlobalPastTheMemoryLimitEndsTheRunAtStart) {
                      "global 'g' is past the interpreter's limit");
 }
 
-// main and 62 workers that spin until main lets them go: the last spawn
-// is one thread past the limit, so that thread fails at birth and the
-// run, though every other thread finishes, does not complete.
+// main and 62 or 63 workers that spin until main lets them go: each spawn
+// past the limit fails that thread at birth, and the run, though every
+// other thread finishes, does not complete. Every refused spawn is
+// reported and counted.
 TEST(LangTest, SpawnPastTheThreadLimitFailsThatThread) {
-  std::string Source = "int racy go;\n"
-                       "void w(void) {\n"
-                       "  while (go == 0) { }\n"
-                       "}\n"
-                       "void main(void) {\n";
-  for (int I = 0; I != 62; ++I)
-    Source += "  spawn w();\n";
-  Source += "  go = 1;\n"
-            "}\n";
-  auto C = compile(Source);
-  ASSERT_TRUE(C->Ok) << C->Diags->render();
-  InterpResult R = C->Interpreter->run(InterpOptions());
-  EXPECT_FALSE(R.Completed);
-  EXPECT_FALSE(R.Deadlocked);
-  EXPECT_FALSE(R.OutOfSteps);
-  EXPECT_EQ(R.Stats.ThreadsSpawned, 63u);
-  ASSERT_EQ(R.Violations.size(), 1u);
-  EXPECT_EQ(R.Violations[0].Detail, "thread limit (62 concurrent) exceeded");
+  for (unsigned Workers : {62u, 63u}) {
+    std::string Source = "int racy go;\n"
+                         "void w(void) {\n"
+                         "  while (go == 0) { }\n"
+                         "}\n"
+                         "void main(void) {\n";
+    for (unsigned I = 0; I != Workers; ++I)
+      Source += "  spawn w();\n";
+    Source += "  go = 1;\n"
+              "}\n";
+    auto C = compile(Source);
+    ASSERT_TRUE(C->Ok) << C->Diags->render();
+    InterpResult R = C->Interpreter->run(InterpOptions());
+    EXPECT_FALSE(R.Completed);
+    EXPECT_FALSE(R.Deadlocked);
+    EXPECT_FALSE(R.OutOfSteps);
+    EXPECT_EQ(R.Stats.ThreadsSpawned, Workers + 1);
+    const unsigned Refused = Workers - 61;
+    ASSERT_EQ(R.Violations.size(), Refused);
+    EXPECT_EQ(R.TotalViolations, Refused);
+    for (const Violation &V : R.Violations)
+      EXPECT_EQ(V.Detail, "thread limit (62 concurrent) exceeded");
+  }
 }
 
 TEST(LangTest, AddressOfLocalAndDerefAssignment) {

@@ -389,6 +389,54 @@ TEST(LockDeadlockTest, ReportNamesEachWaiterAndTheHolder) {
   }
 }
 
+TEST(LockOwnerTest, AThreadGivenAnExitedHoldersTidDoesNotOwnItsLock) {
+  // a() exits holding m. On most seeds it has exited before main spawns
+  // b(), which is then given a()'s tid 2; on the others b() gets tid 3.
+  // Either way m still belongs to a(): b()'s mutex_lock blocks until the
+  // run deadlocks, and b()'s mutex_unlock is a misuse.
+  struct Case {
+    const char *B;
+    bool Deadlocks;
+    const char *Details[2]; ///< When b() has tid 2, and when it has tid 3.
+  };
+  const Case Cases[] = {
+      {"mutex_lock(&m); print_int(2); mutex_unlock(&m);",
+       true,
+       {"deadlock: all live threads are blocked; "
+        "tid 2 waits on lock 1 held by tid 2 (exited)",
+        "deadlock: all live threads are blocked; "
+        "tid 3 waits on lock 1 held by tid 2 (exited)"}},
+      {"mutex_unlock(&m); print_int(2);",
+       false,
+       {"unlock of a mutex not held by this thread",
+        "unlock of a mutex not held by this thread"}},
+  };
+  for (const Case &K : Cases) {
+    std::string Source =
+        std::string("mutex m;\n"
+                    "int racy done;\n"
+                    "void a(void) { mutex_lock(&m); done = 1; }\n"
+                    "void b(void) { ") +
+        K.B +
+        " }\n"
+        "void main(void) { spawn a(); while (done == 0) { } spawn b(); }\n";
+    auto C = compile(Source);
+    ASSERT_TRUE(C->Ok) << C->Diags->render();
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      InterpOptions Options;
+      Options.Seed = Seed;
+      InterpResult R = C->Interpreter->run(Options);
+      EXPECT_EQ(R.Deadlocked, K.Deadlocks) << Source << "seed " << Seed;
+      EXPECT_EQ(R.Output, "") << Source << "seed " << Seed;
+      ASSERT_EQ(R.Violations.size(), 1u) << Source << "seed " << Seed;
+      const Violation &V = R.Violations[0];
+      EXPECT_EQ(V.K, Violation::Kind::RuntimeError);
+      EXPECT_TRUE(V.Detail == K.Details[0] || V.Detail == K.Details[1])
+          << Source << "seed " << Seed << ": " << V.Detail;
+    }
+  }
+}
+
 TEST(LockProfileTest, ContendedRunRecordsArePinned) {
   // Mutex contention, a cond_wait whose wake-up reacquire counts under
   // the cond_wait's line, and rwlock holds in both modes. Wait and hold
