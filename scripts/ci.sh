@@ -113,7 +113,8 @@ san_lane "$BUILD/asan" \
   rt_refcount_test rt_runtime_test rt_profile_test rt_rwlock_test \
   stats_endpoint_test checker_test interp_test interp_lang_test \
   minic_rwlock_test explore_test workloads_test guard_test \
-  "serve_test=$SERVE_SHARC_CASES"
+  analysis_test checker_more_test printer_test printer_roundtrip_test \
+  integration_test "serve_test=$SERVE_SHARC_CASES"
 san_lane "$BUILD/tsan" "-fsanitize=thread" \
   racedet_test fuzz_test rt_internals_test rt_refcount_test rt_shadow_test \
   rt_runtime_test rt_profile_test rt_rwlock_test stats_endpoint_test \
