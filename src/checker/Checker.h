@@ -97,7 +97,7 @@ private:
   Instrumentation Instr;
   minic::FuncDecl *CurrentFunc = nullptr;
   /// Number of assignments to each local/param in the current function
-  /// (including declaration initializers and SCAST null-outs).
+  /// (including declaration initializers, not SCAST null-outs).
   std::map<const minic::VarDecl *, unsigned> AssignCounts;
 };
 
